@@ -205,24 +205,6 @@ def resolve_executor(
 #             "global"               -> (fps...).
 
 
-def _consistent_key(lfp: int, rfp: int) -> tuple:
-    return (
-        ("consistent", lfp, rfp) if lfp <= rfp else ("consistent", rfp, lfp)
-    )
-
-
-def _job_keys(kind: str, frozen, minimal: bool, method: str) -> list[tuple]:
-    """The store keys a local replay of this job will probe — the
-    pre-filter that keeps already-answered jobs off the wire."""
-    if kind == "consistent":
-        lfp, rfp = frozen
-        return [_consistent_key(lfp, rfp)]
-    if kind == "witness":
-        lfp, rfp = frozen
-        return [("witness", lfp, rfp, minimal)]
-    return [("global", frozen, method)]
-
-
 def _shm_module():
     try:
         from multiprocessing import shared_memory
@@ -376,14 +358,17 @@ def run_process_batch(
     """Fan a batch's cache misses over worker processes, merge their
     verdict deltas into ``engine``'s store, then replay the whole batch
     locally (hits all the way down, preserving order, ``None``
-    refusals, and exception behaviour)."""
-    from . import fingerprint
+    refusals, and exception behaviour).  A miss touching a
+    :class:`~repro.engine.session.BagRef` raises
+    :class:`~repro.engine.session.BagsWanted` before anything ships:
+    a ref has no contents to compute on."""
+    from .session import BagRef, BagsWanted, bag_fp, job_key
 
     workers = _default_workers(parallelism)
     bags_by_fp: "dict[int, Bag]" = {}
 
     def note(bag: "Bag") -> int:
-        fp = fingerprint.of_bag(bag)
+        fp = bag_fp(bag)
         bags_by_fp.setdefault(fp, bag)
         return fp
 
@@ -394,14 +379,19 @@ def run_process_batch(
     missing: list = []
     seen_keys: set[tuple] = set()
     for entry in frozen:
-        keys = _job_keys(kind, entry, minimal, method)
-        if any(engine.store.contains(key) for key in keys):
-            continue
-        key = keys[0]
-        if key in seen_keys:
-            continue  # duplicate job in one batch: ship it once
+        # the key a local replay of this job will probe: the pre-filter
+        # that keeps already-answered jobs off the wire
+        key = job_key(kind, entry, minimal=minimal, method=method)
+        if engine.store.contains(key) or key in seen_keys:
+            continue  # answered, or a duplicate job: ship it once
         seen_keys.add(key)
         missing.append(entry)
+    refs = [
+        fp for entry in missing for fp in entry
+        if type(bags_by_fp[fp]) is BagRef
+    ]
+    if refs:
+        raise BagsWanted(refs)
     if missing and workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -4,7 +4,9 @@ One job payload — the JSON object ``repro batch`` reads from a file and
 ``repro serve`` reads off a socket — may carry any of:
 
 * ``"pairs"``: a list of two-element lists of bag encodings
-  (:mod:`repro.io`) — consistency of each pair, plus a witness when
+  (:mod:`repro.io`; a decoded wire frame may also hold live
+  :class:`Bag` objects and :class:`~repro.engine.session.BagRef`
+  stand-ins) — consistency of each pair, plus a witness when
   requested;
 * ``"collections"``: a list of collection encodings
   (``{"bags": [...]}``) — the GCPB decision for each;
@@ -35,6 +37,7 @@ from ..core.bags import Bag
 from ..errors import ReproError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from .session import BagRef
 
 # Per-section latency (pairs / collections / suites): how a mixed batch
 # splits its time across job kinds.
@@ -106,7 +109,12 @@ def parse_jobs(payload: object) -> BatchJobs:
 
     interned: dict[Bag, Bag] = {}
 
-    def load_bag(encoded: object) -> Bag:
+    def load_bag(encoded: object) -> "Bag | BagRef":
+        if isinstance(encoded, BagRef):
+            # a frame's {"ref": fp} stand-in: nothing to validate or
+            # intern — the engine answers it from the store or raises
+            # BagsWanted
+            return encoded
         if isinstance(encoded, Bag):
             # wire-decoded frames carry live Bag objects (already
             # fingerprint-seeded); intern them like dict encodings

@@ -50,6 +50,14 @@ store can outlive the process: ``store=`` accepts a
 witnesses, and global results to sharded segment logs and answers
 repeat traffic from disk after a restart (:meth:`flush` exposes its
 write-behind flush through the engine).
+
+Because every job is answered by one entry keyed on fingerprints alone
+(:func:`job_key`), a job can be asked about bags the engine does not
+hold: a :class:`BagRef` carries only a fingerprint (the serve
+protocol's ``{"ref": fp}`` descriptor).  Refs are answered from the
+store or not at all — every miss branch raises :class:`BagsWanted`
+before computing, so a ref never reaches a kernel and never writes the
+store.
 """
 
 from __future__ import annotations
@@ -63,15 +71,98 @@ from typing import Callable, Iterable, Sequence
 from ..analysis.registry import requires_lock, shared_state
 from ..core.bags import Bag
 from ..core.schema import Schema
-from ..errors import InconsistentError
+from ..errors import InconsistentError, ReproError
 from ..lp.integer_feasibility import DEFAULT_NODE_BUDGET
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import fingerprint
 
-__all__ = ["Engine", "EngineStats", "VerdictStore"]
+__all__ = [
+    "BagRef",
+    "BagsWanted",
+    "Engine",
+    "EngineStats",
+    "VerdictStore",
+    "bag_fp",
+    "job_key",
+]
 
 _MISS = object()
+
+
+# -- store keys -----------------------------------------------------------
+#
+# Every batch job is answered by exactly one store entry keyed on content
+# fingerprints alone.  One builder serves the engine's lookups, the
+# process executor's pre-filter, and the serve daemon's ref probe, so the
+# three can never disagree on what "already answered" means.
+
+
+def job_key(
+    kind: str, fps: Sequence[int], minimal: bool = False,
+    method: str = "auto",
+) -> tuple:
+    """The store key answering one job: ``kind`` is ``"consistent"`` or
+    ``"witness"`` (``fps`` a ``(left, right)`` pair) or ``"global"``
+    (``fps`` the collection's fingerprints, in order).  Consistency is
+    symmetric, so its key is unordered; witnesses are ordered pairs."""
+    if kind == "consistent":
+        a, b = fps
+        return ("consistent", a, b) if a <= b else ("consistent", b, a)
+    if kind == "witness":
+        lfp, rfp = fps
+        return ("witness", lfp, rfp, minimal)
+    return ("global", tuple(fps), method)
+
+
+class BagRef:
+    """A stand-in for a bag known only by its content fingerprint — what
+    a ``{"ref": fp}`` wire descriptor decodes to.
+
+    A ref can only *read* the store: every engine branch that would
+    compute (and so store) a result raises :class:`BagsWanted` when a
+    participant is a ref, so no answer is ever computed on, or recorded
+    for, content the daemon has not seen."""
+
+    __slots__ = ("fp",)
+
+    def __init__(self, fp: int) -> None:
+        self.fp = fp
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BagRef) and other.fp == self.fp
+
+    def __hash__(self) -> int:
+        return hash(("BagRef", self.fp))
+
+    def __repr__(self) -> str:
+        return f"BagRef({self.fp:#x})"
+
+
+class BagsWanted(ReproError):
+    """A job needs the full contents of bags that arrived as refs: the
+    store holds no answer for it.  ``fps`` lists the wanted
+    fingerprints; the serve daemon turns this into a ``want`` reply."""
+
+    def __init__(self, fps: Iterable[int]) -> None:
+        self.fps = sorted(set(fps))
+        super().__init__(
+            f"{len(self.fps)} bag(s) sent by reference have no stored "
+            "answer; resend them in full"
+        )
+
+
+def bag_fp(bag) -> int:
+    """The content fingerprint of a :class:`Bag` or a :class:`BagRef`."""
+    return bag.fp if type(bag) is BagRef else fingerprint.of_bag(bag)
+
+
+def _require_contents(*bags) -> None:
+    """Fail closed before any compute: refs carry no contents."""
+    refs = [bag.fp for bag in bags if type(bag) is BagRef]
+    if refs:
+        raise BagsWanted(refs)
+
 
 # Compute-latency histograms, recorded only on *miss* branches: the
 # warm (all-hit) serve path pays zero telemetry here, which is how the
@@ -427,10 +518,11 @@ class Engine:
         re-registers the entry."""
         with self._lock:
             self.stats.marginal_queries += 1
-        fp = fingerprint.of_bag(bag)
+        fp = bag_fp(bag)
         key = ("marginal", fp, target.attrs)
         value = self._get(key)
         if value is _MISS:
+            _require_contents(bag)
             start = time.perf_counter()
             value = bag.marginal(target)
             _observe_compute("marginal", start)
@@ -444,10 +536,11 @@ class Engine:
         """The bag join, memoized per (left, right) content pair."""
         with self._lock:
             self.stats.join_queries += 1
-        lfp, rfp = fingerprint.of_bag(left), fingerprint.of_bag(right)
+        lfp, rfp = bag_fp(left), bag_fp(right)
         key = ("join", lfp, rfp)
         value = self._get(key)
         if value is _MISS:
+            _require_contents(left, right)
             start = time.perf_counter()
             value = left.bag_join(right)
             _observe_compute("join", start)
@@ -466,12 +559,13 @@ class Engine:
                 stats.internal_consistency_queries += 1
             else:
                 stats.consistency_queries += 1
-        a, b = fingerprint.of_bag(left), fingerprint.of_bag(right)
-        key = ("consistent", a, b) if a <= b else ("consistent", b, a)
+        a, b = bag_fp(left), bag_fp(right)
+        key = job_key("consistent", (a, b))
         value = self._get(key)
         if value is _MISS:
             from ..consistency.pairwise import are_consistent
 
+            _require_contents(left, right)
             start = time.perf_counter()
             value = are_consistent(left, right)
             _observe_compute("consistent", start)
@@ -499,8 +593,8 @@ class Engine:
         when the uncached pipeline would (the refusal is cached too)."""
         with self._lock:
             self.stats.witness_queries += 1
-        lfp, rfp = fingerprint.of_bag(left), fingerprint.of_bag(right)
-        key = ("witness", lfp, rfp, minimal)
+        lfp, rfp = bag_fp(left), bag_fp(right)
+        key = job_key("witness", (lfp, rfp), minimal=minimal)
         cached = self._get(key)
         if cached is not _MISS:
             with self._lock:
@@ -509,6 +603,7 @@ class Engine:
             from ..consistency.pairwise import consistency_witness
             from ..consistency.witness import minimal_pairwise_witness
 
+            _require_contents(left, right)
             start = time.perf_counter()
             if not self._consistent(left, right, internal=True):
                 cached = None
@@ -550,12 +645,13 @@ class Engine:
         with self._lock:
             self.stats.global_queries += 1
         bags = list(bags)
-        fps = fingerprint.of_collection(bags)
-        key = ("global", fps, method)
+        fps = tuple(bag_fp(bag) for bag in bags)
+        key = job_key("global", fps, method=method)
         cached = self._get(key)
         if cached is _MISS:
             from ..consistency.global_ import global_witness
 
+            _require_contents(*bags)
             start = time.perf_counter()
             cached = global_witness(
                 bags,

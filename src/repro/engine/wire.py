@@ -28,7 +28,14 @@ reserved in v2 payloads), and each bag descriptor is either
 * columnar — ``{"schema": [...], "n": rows, "total": mult_total,
   "fp": <fingerprint>, "mults": [off, len], "cols": [{"codes":
   [off, len], "values": [...]}, ...]}`` — where ``codes`` index the
-  column's **local dictionary** ``values``.
+  column's **local dictionary** ``values``, or
+* a reference — ``{"ref": <fingerprint>}`` — for a bag this connection
+  already shipped in full and had answered.  It decodes to a
+  :class:`~repro.engine.session.BagRef`, which can only *read* the
+  verdict store: a job the store cannot answer raises
+  :class:`~repro.engine.session.BagsWanted` and the daemon replies
+  ``want`` instead of computing.  Only daemons that advertise
+  ``"bag_refs": true`` in their ping reply ever receive one.
 
 Interner remap rule: sender and receiver interners never agree (they
 are process-local and append-only), so frames never carry raw interner
@@ -63,7 +70,7 @@ import json
 import struct
 import sys
 from array import array
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Container, Iterable
 
 from .. import io as repro_io
 from ..core.bags import Bag
@@ -72,6 +79,7 @@ from ..core.schema import Schema
 from ..errors import ReproError, SchemaError
 from . import columnar, fingerprint
 from .index import BagIndex
+from .session import BagRef
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .columnar import PortableEncoding
@@ -88,6 +96,7 @@ __all__ = [
     "encode_bag_table",
     "encode_jobs_frame",
     "encode_response_frame",
+    "job_fingerprints",
     "jsonify_payload",
     "payload_has_bags",
     "portable_bag",
@@ -132,12 +141,22 @@ _COUNTERS = {
     key: obs_metrics.REGISTRY.counter("repro_" + key)
     for key in _STATS_KEYS
 }
+# Bag references served from the store ("hit") vs answered with a
+# ``want`` reply: one labeled counter family, flattened into the
+# historical dict as ``wire_bag_ref_hits`` / ``wire_bag_ref_wants``.
+_REF_RESULTS = {"hit": "wire_bag_ref_hits", "want": "wire_bag_ref_wants"}
+_COUNTERS.update({
+    key: obs_metrics.REGISTRY.counter(
+        "repro_wire_bag_refs_total", {"result": result}
+    )
+    for result, key in _REF_RESULTS.items()
+})
 
 
 def wire_stats() -> dict:
     """The process-wide wire/shm counters (merged into
     :func:`repro.engine.columnar.kernel_stats`)."""
-    return {key: _COUNTERS[key].value for key in _STATS_KEYS}
+    return {key: counter.value for key, counter in _COUNTERS.items()}
 
 
 def count_json_request(n_bytes: int) -> None:
@@ -149,6 +168,12 @@ def count_json_request(n_bytes: int) -> None:
 
 def count_shm(key: str, amount: int = 1) -> None:
     _COUNTERS["shm_" + key].inc(amount)
+
+
+def count_bag_refs(result: str, amount: int) -> None:
+    """Record ``amount`` bag references that were served from the store
+    (``result="hit"``) or sent back in a ``want`` reply (``"want"``)."""
+    _COUNTERS[_REF_RESULTS[result]].inc(amount)
 
 
 # -- framing ------------------------------------------------------------
@@ -306,6 +331,30 @@ def _walk_payload(payload: dict, convert: Callable) -> dict:
     return out
 
 
+def job_fingerprints(payload: object) -> list[list[int | None]]:
+    """Per job (pair or collection) of ``payload``, the fingerprint of
+    each bag slot holding a live :class:`Bag` (``None`` for any other
+    slot) — what a client needs to decide which bags may travel as
+    references."""
+    if not isinstance(payload, dict):
+        return []
+    jobs: list[list[int | None]] = []
+    for key in ("pairs", "collections"):
+        entries = payload.get(key)
+        if not isinstance(entries, (list, tuple)):
+            continue
+        for entry in entries:
+            if key == "collections":
+                entry = entry.get("bags") if isinstance(entry, dict) else None
+            if isinstance(entry, (list, tuple)):
+                jobs.append([
+                    fingerprint.of_bag(slot) if isinstance(slot, Bag)
+                    else None
+                    for slot in entry
+                ])
+    return jobs
+
+
 def payload_has_bags(payload: object) -> bool:
     """True when any bag slot of ``payload`` holds a live :class:`Bag`
     object (the case the v2 frame accelerates)."""
@@ -381,10 +430,14 @@ def _export_bag(bag: Bag, fp: int, writer: _BlobWriter) -> dict:
     return _columnar_descriptor(fp, port, writer)
 
 
-def encode_jobs_frame(payload: dict) -> bytes:
+def encode_jobs_frame(
+    payload: dict, refs: "Container[int]" = frozenset()
+) -> bytes:
     """One batch payload (bag slots may hold :class:`Bag` objects or
     plain JSON dicts) as one v2 frame.  Bag objects are deduplicated by
-    content fingerprint — a bag appearing in many pairs ships once."""
+    content fingerprint — a bag appearing in many pairs ships once —
+    and a bag whose fingerprint is in ``refs`` ships as a ``{"ref": fp}``
+    descriptor (its 128-bit fingerprint) instead of its contents."""
     if not isinstance(payload, dict):
         raise WireError("jobs payload must be a JSON object")
     writer = _BlobWriter()
@@ -397,7 +450,10 @@ def encode_jobs_frame(payload: dict) -> bytes:
             index = by_fp.get(fp)
             if index is None:
                 index = len(descriptors)
-                descriptors.append(_export_bag(obj, fp, writer))
+                descriptors.append(
+                    {"ref": fp} if fp in refs
+                    else _export_bag(obj, fp, writer)
+                )
                 by_fp[fp] = index
             return {"$bag": index}
         if isinstance(obj, dict):
@@ -537,7 +593,8 @@ def _bag_from_descriptor(desc: object, blob) -> Bag:
 def decode_jobs_frame(header: dict, blob) -> dict:
     """A jobs frame back into the plain batch payload shape, every
     ``{"$bag": i}`` reference replaced by a rebuilt (seeded, possibly
-    encoding-adopting) :class:`Bag` — ready for ``parse_jobs``."""
+    encoding-adopting) :class:`Bag` — or, for a ``{"ref": fp}``
+    descriptor, a :class:`BagRef` — ready for ``parse_jobs``."""
     version = header.get("v")
     if version != VERSION:
         raise WireError(f"unsupported frame header version {version!r}")
@@ -547,7 +604,12 @@ def decode_jobs_frame(header: dict, blob) -> dict:
     descriptors = header.get("bags") or []
     if not isinstance(descriptors, list):
         raise WireError("jobs frame bags must be a list")
-    bags = [_bag_from_descriptor(desc, blob) for desc in descriptors]
+    bags = [
+        BagRef(_check_fp(desc["ref"]))
+        if isinstance(desc, dict) and set(desc) == {"ref"}
+        else _bag_from_descriptor(desc, blob)
+        for desc in descriptors
+    ]
 
     def convert(obj):
         if isinstance(obj, dict) and set(obj) == {"$bag"}:

@@ -67,12 +67,20 @@ import socket
 import socketserver
 import threading
 import time
+from collections import OrderedDict
 from typing import Iterable
 
 from .analysis.registry import shared_state
 from .engine import wire
 from .engine.jobs import JobError, parse_jobs, run_jobs
-from .engine.session import Engine, EngineStats
+from .engine.session import (
+    BagRef,
+    BagsWanted,
+    Engine,
+    EngineStats,
+    bag_fp,
+    job_key,
+)
 from .errors import ReproError
 from .lp.integer_feasibility import DEFAULT_NODE_BUDGET
 from .obs import expo as obs_expo
@@ -91,6 +99,56 @@ def _default_inflight() -> int:
 def _merge_stats(target: EngineStats, source: dict) -> None:
     for field, value in source.items():
         setattr(target, field, getattr(target, field) + value)
+
+
+def _ref_fps(jobs) -> set[int]:
+    """Fingerprints of the :class:`BagRef` stand-ins in a parsed batch."""
+    return {
+        bag.fp
+        for bags in (*jobs.pairs, *jobs.collections)
+        for bag in bags
+        if type(bag) is BagRef
+    }
+
+
+class _RequestWindow:
+    """One request's trace and ``repro_request_seconds`` window.  The
+    serve handler opens it when a request's first byte arrives — before
+    decode — and closes it after the response is written; the op is
+    named once decoded, and the latency is recorded under that op."""
+
+    __slots__ = ("_histograms", "_slow_ms", "_opened", "_start", "trace", "op")
+
+    def __init__(self, histograms: dict, slow_ms: float | None) -> None:
+        self._histograms = histograms
+        self._slow_ms = slow_ms
+        self.trace = None
+        self.op: str | None = None
+
+    def __enter__(self) -> "_RequestWindow":
+        self._start = time.perf_counter()
+        self._opened = obs_trace.start_trace("serve.invalid", self._slow_ms)
+        self.trace = self._opened.__enter__()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._opened.__exit__(*exc_info)
+        histogram = self._histograms.get(self.op)
+        if histogram is not None:
+            histogram.record(time.perf_counter() - self._start)
+
+    def name(self, op: object) -> None:
+        self.op = op if isinstance(op, str) else None
+        if self.trace is not None:
+            self.trace.op = (
+                f"serve.{op}" if isinstance(op, str) else "serve.invalid"
+            )
+
+    def span(self, name: str, start: float, **extra) -> None:
+        if self.trace is not None:
+            self.trace.add_span(
+                name, start, time.perf_counter() - start, **extra
+            )
 
 
 # `_thread`/`_server`/`address`/`started` are setup-phase plumbing
@@ -309,21 +367,32 @@ class ReproServer:
         """One request object in, one response object out (exceptions
         become ``{"ok": false, "error": one-line}``).  ``engine`` is the
         per-connection engine; embedders may omit it to use the base
-        engine."""
-        self.count_request()
-        if engine is None:
-            engine = self.engine
-        op = payload.get("op", "batch") if isinstance(payload, dict) else "batch"
-        histogram = (
-            self._op_histograms.get(op) if isinstance(op, str) else None
-        )
-        name = f"serve.{op}" if isinstance(op, str) else "serve.invalid"
-        start = time.perf_counter()
-        with obs_trace.start_trace(name, slow_ms=self.slow_ms):
-            response = self._handle_op(payload, op, engine)
-        if histogram is not None:
-            histogram.record(time.perf_counter() - start)
+        engine.  A ``shutdown`` request stops the daemon after the
+        response is returned."""
+        with self._request_window() as window:
+            response = self._serve(payload, engine, window)
+        if response.get("bye"):
+            self._stop_soon()
         return response
+
+    def _request_window(self) -> _RequestWindow:
+        return _RequestWindow(self._op_histograms, self.slow_ms)
+
+    def _serve(
+        self, payload: object, engine: Engine | None, window: _RequestWindow
+    ) -> dict:
+        self.count_request()
+        op = payload.get("op", "batch") if isinstance(payload, dict) else "batch"
+        window.name(op)
+        return self._handle_op(payload, op, engine or self.engine)
+
+    def _stop_soon(self) -> None:
+        """Stop the daemon from a helper thread: shutdown() blocks until
+        serve_forever exits, which must not wait on the handler thread
+        that asked.  Called only once the ``shutdown`` reply is written
+        and flushed — the process may exit as soon as serve_forever
+        returns, so a stop started earlier could lose the reply."""
+        threading.Thread(target=self.shutdown, daemon=True).start()
 
     def _handle_op(self, payload: object, op: object, engine: Engine) -> dict:
         try:
@@ -337,22 +406,28 @@ class ReproServer:
                 response = {"ok": True, "op": "ping"}
                 if self.wire_format == "columnar":
                     # the v2 handshake: clients that sent {"wire": 2}
-                    # read this advertisement and switch to frames
+                    # read this advertisement and switch to frames, and
+                    # may send {"ref": fp} descriptors for bags they
+                    # already shipped
                     response["wire"] = wire.VERSION
+                    response["bag_refs"] = True
                 return response
             if op == "stats":
                 return {"ok": True, "op": "stats", **self.stats()}
             if op == "metrics":
                 return {"ok": True, "op": "metrics", **self.metrics_payload()}
             if op == "shutdown":
-                # Stop accepting from a helper thread: shutdown() blocks
-                # until serve_forever exits, which must not wait on the
-                # handler thread that is writing this response.
-                threading.Thread(target=self.shutdown, daemon=True).start()
+                # the caller stops the daemon once this reply is out
+                # (see _stop_soon)
                 return {"ok": True, "op": "shutdown", "bye": True}
             jobs = parse_jobs(
                 {k: v for k, v in payload.items() if k != "op"}
             )
+            refs = _ref_fps(jobs)
+            if refs:
+                wanted = self._wanted(jobs)
+                if wanted:
+                    return self._want(wanted)
             # Admission control: overlapping connections run batches
             # concurrently up to max_inflight; beyond that, callers wait
             # briefly and are then refused with a one-line error rather
@@ -386,11 +461,47 @@ class ReproServer:
                 with self._stats_lock:
                     self._inflight -= 1
                 self._admission.release()
+            if refs:
+                wire.count_bag_refs("hit", len(refs))
             return {"ok": True, "op": "batch", "report": report}
+        except BagsWanted as exc:
+            # an answer the probe saw was evicted before it was read:
+            # still no compute on a ref — ask for the bags instead
+            return self._want(exc.fps)
         except ReproError as exc:
             with self._stats_lock:
                 self.errors += 1
             return {"ok": False, "error": str(exc)}
+
+    def _wanted(self, jobs) -> set[int]:
+        """The ref fingerprints of every job the store cannot answer
+        outright.  Probes every key the batch will read (``contains``:
+        no recency or hit-counter side effects) before anything runs,
+        so a ref-bearing batch either is all hits or asks for bags."""
+        pair_kinds = ("consistent", "witness") if self.witnesses \
+            else ("consistent",)
+        needs = [(pair, pair_kinds) for pair in jobs.pairs]
+        needs += [(bags, ("global",)) for bags in jobs.collections]
+        wanted: set[int] = set()
+        for bags, kinds in needs:
+            refs = [bag.fp for bag in bags if type(bag) is BagRef]
+            if not refs:
+                continue
+            fps = [bag_fp(bag) for bag in bags]
+            if not all(
+                self.store.contains(job_key(kind, fps, method=self.method))
+                for kind in kinds
+            ):
+                wanted.update(refs)
+        return wanted
+
+    @staticmethod
+    def _want(fps: Iterable[int]) -> dict:
+        """The non-error reply asking the client to resend ``fps`` in
+        full."""
+        fps = sorted(fps)
+        wire.count_bag_refs("want", len(fps))
+        return {"ok": True, "op": "want", "want": fps}
 
     def _run_jobs(self, jobs, engine: Engine) -> dict:
         return run_jobs(
@@ -513,7 +624,10 @@ def _is_stale_socket(path: str) -> bool:
 class _Handler(socketserver.StreamRequestHandler):
     """Per-connection loop: sniff each message's first byte — frame
     magic starts a length-prefixed v2 frame, anything else a JSON line
-    — and answer in the format the request arrived in."""
+    — and answer in the format the request arrived in.  Each request
+    is traced from its first byte to the end of its response write:
+    ``wire.decode``, the op's own spans, then ``wire.response_encode``
+    (the write is the rest of the trace total)."""
 
     def handle(self) -> None:
         owner: ReproServer = self.server.owner  # type: ignore[attr-defined]
@@ -523,82 +637,80 @@ class _Handler(socketserver.StreamRequestHandler):
                 first = self.rfile.read(1)
                 if not first:
                     break
-                if first in (b"\n", b"\r", b" ", b"\t"):
+                if first.isspace():
                     continue
-                if first == wire.MAGIC[:1]:
-                    stop = self._handle_frame(owner, engine, first)
-                else:
-                    stop = self._handle_line(owner, engine, first)
-                if stop:
+                framed = first == wire.MAGIC[:1]
+                decode = self._decode_frame if framed else self._decode_line
+                with owner._request_window() as window:
+                    start = time.perf_counter()
+                    payload, error, close = decode(owner, first)
+                    window.span("wire.decode", start)
+                    if error is None:
+                        response = owner._serve(payload, engine, window)
+                    else:
+                        owner.count_request(error=True)
+                        response = {"ok": False, "error": error}
+                    try:
+                        self._respond(window, response, framed)
+                    except OSError:
+                        if not close:
+                            raise
+                        # an unsynchronized stream usually means the
+                        # peer is gone: the answer was best-effort
+                if response.get("bye"):
+                    owner._stop_soon()
+                    break
+                if close:
                     break
         finally:
             owner.retire_engine(engine)
 
-    def _respond_line(self, response: dict) -> None:
-        self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+    def _respond(
+        self, window: _RequestWindow, response: dict, framed: bool
+    ) -> None:
+        start = time.perf_counter()
+        if framed:
+            data = wire.encode_response_frame(response)
+        else:
+            data = (json.dumps(response) + "\n").encode("utf-8")
+        window.span("wire.response_encode", start, bytes=len(data))
+        self.wfile.write(data)
         self.wfile.flush()
 
-    def _respond_frame(self, response: dict) -> None:
-        self.wfile.write(wire.encode_response_frame(response))
-        self.wfile.flush()
-
-    def _handle_line(self, owner: ReproServer, engine, first: bytes) -> bool:
+    def _decode_line(self, owner: ReproServer, first: bytes):
+        """``(payload, error, close)`` for one JSON line."""
         line = first + self.rfile.readline(wire.MAX_LINE)
         if len(line) > wire.MAX_LINE and not line.endswith(b"\n"):
             # an unterminated over-limit line has no cheap resync
             # point: answer once, then drop the connection instead of
             # buffering without bound
-            owner.count_request(error=True)
-            self._respond_line({
-                "ok": False,
-                "error": f"request line exceeds {wire.MAX_LINE} bytes",
-            })
-            return True
+            return None, f"request line exceeds {wire.MAX_LINE} bytes", True
         line = line.strip()
-        if not line:
-            return False
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
-            owner.count_request(error=True)
-            response = {"ok": False, "error": f"invalid JSON: {exc}"}
-        else:
-            wire.count_json_request(len(line))
-            response = owner.handle_payload(payload, engine=engine)
-        self._respond_line(response)
-        return bool(response.get("bye"))
+            return None, f"invalid JSON: {exc}", False
+        wire.count_json_request(len(line))
+        return payload, None, False
 
-    def _handle_frame(self, owner: ReproServer, engine, first: bytes) -> bool:
+    def _decode_frame(self, owner: ReproServer, first: bytes):
+        """``(payload, error, close)`` for one v2 frame."""
         try:
             header, blob = wire.read_frame(self.rfile, first=first)
         except wire.WireError as exc:
             # truncated/oversized: the stream is unsynchronized past
             # this point — answer best-effort and close
-            owner.count_request(error=True)
-            try:
-                self._respond_frame({"ok": False, "error": str(exc)})
-            except OSError:
-                pass  # truncation usually means the peer is gone
-            return True
+            return None, str(exc), True
         if owner.wire_format != "columnar":
-            owner.count_request(error=True)
-            self._respond_frame({
-                "ok": False,
-                "error": (
-                    "binary frames are disabled (--wire-format json); "
-                    "send newline JSON"
-                ),
-            })
-            return False  # frame fully consumed: stream still synced
+            # frame fully consumed: the stream is still synced
+            return None, (
+                "binary frames are disabled (--wire-format json); "
+                "send newline JSON"
+            ), False
         try:
-            payload = wire.decode_jobs_frame(header, blob)
+            return wire.decode_jobs_frame(header, blob), None, False
         except ReproError as exc:
-            owner.count_request(error=True)
-            self._respond_frame({"ok": False, "error": str(exc)})
-            return False
-        response = owner.handle_payload(payload, engine=engine)
-        self._respond_frame(response)
-        return bool(response.get("bye"))
+            return None, str(exc), False
 
 
 class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
@@ -608,6 +720,54 @@ class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
 
 class _ThreadingUnixServer(socketserver.ThreadingUnixStreamServer):
     daemon_threads = True
+
+
+# How many bag fingerprints one client connection remembers as shipped
+# and answered.  Forgetting is always safe (the bag ships in full
+# again), so the bound only trades memory for ref hits: each entry is
+# one 128-bit int key in an OrderedDict, ~0.13 KB measured, so the full
+# set costs ~0.5 MB per connection — while 4096 is 256x the 16 distinct
+# bags a wide-repeat connection cycles through.
+KNOWN_BAGS = 4096
+
+
+class _KnownBags:
+    """The fingerprints a connection has shipped in full and had
+    answered, least recently used first, at most ``bound`` of them."""
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self._fps: OrderedDict[int, None] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._fps)
+
+    def refs(self, jobs: list[list[int | None]]) -> set[int]:
+        """The fingerprints that may travel as refs: known, and every
+        job they appear in is made of known bags only — a job with a
+        new bag has no stored answer yet, so its daemon would want the
+        known bags back anyway."""
+        refs: set[int] = set()
+        blocked: set[int] = set()
+        for fps in jobs:
+            known = all(fp in self._fps for fp in fps)
+            (refs if known else blocked).update(
+                fp for fp in fps if fp is not None
+            )
+        return refs - blocked
+
+    def remember(self, jobs: list[list[int | None]]) -> None:
+        for fps in jobs:
+            for fp in fps:
+                if fp is not None:
+                    self._fps[fp] = None
+                    self._fps.move_to_end(fp)
+        while len(self._fps) > self.bound:
+            self._fps.popitem(last=False)
+
+    def forget(self, fps: Iterable[int]) -> None:
+        for fp in fps:
+            self._fps.pop(fp, None)
 
 
 class ServeClient:
@@ -626,6 +786,13 @@ class ServeClient:
     objects, the case frames accelerate.  Payloads may mix ``Bag``
     objects and plain JSON bag dicts in either format; on the JSON path
     bags are serialized to their row encodings transparently.
+
+    On frames, against a daemon that advertises ``"bag_refs"``, a bag
+    this connection already shipped in full and had answered travels as
+    a ``{"ref": fp}`` descriptor (see :class:`_KnownBags` for exactly
+    which).  If the daemon's store no longer answers every job touching
+    a ref, it replies ``want`` and the client resends the request once,
+    every bag in full — the caller only ever sees the final response.
     """
 
     def __init__(
@@ -651,6 +818,8 @@ class ServeClient:
         # negotiated protocol: 1 = JSON lines, wire.VERSION = frames,
         # None = not yet negotiated (auto waits for a Bag payload)
         self._wire: int | None = 1 if wire_format == "json" else None
+        self._bag_refs = False  # the daemon advertised ref descriptors
+        self._known = _KnownBags(KNOWN_BAGS)
 
     @property
     def wire_version(self) -> int | None:
@@ -660,13 +829,13 @@ class ServeClient:
 
     def _negotiate(self) -> None:
         response = self._request_json({"op": "ping", "wire": wire.VERSION})
-        self._wire = (
-            wire.VERSION
-            if isinstance(response, dict)
+        framed = (
+            isinstance(response, dict)
             and response.get("ok")
             and response.get("wire") == wire.VERSION
-            else 1
         )
+        self._wire = wire.VERSION if framed else 1
+        self._bag_refs = bool(framed and response.get("bag_refs") is True)
 
     def request(self, payload: dict) -> dict:
         if self._wire is None and (
@@ -674,12 +843,24 @@ class ServeClient:
             or (self._format == "auto" and wire.payload_has_bags(payload))
         ):
             self._negotiate()
-        if self._wire == wire.VERSION:
-            frame = wire.encode_jobs_frame(payload)
-            self._file.write(frame)
-            self._file.flush()
-            return self._read_response()
-        return self._request_json(payload)
+        if self._wire != wire.VERSION:
+            return self._request_json(payload)
+        if not self._bag_refs:
+            return self._request_frame(payload)
+        jobs = wire.job_fingerprints(payload)
+        response = self._request_frame(payload, self._known.refs(jobs))
+        if response.get("ok") and response.get("op") == "want":
+            # a frame without refs cannot draw another want
+            self._known.forget(response.get("want") or ())
+            response = self._request_frame(payload)
+        if response.get("ok") and response.get("op") == "batch":
+            self._known.remember(jobs)
+        return response
+
+    def _request_frame(self, payload: dict, refs=frozenset()) -> dict:
+        self._file.write(wire.encode_jobs_frame(payload, refs))
+        self._file.flush()
+        return self._read_response()
 
     def _request_json(self, payload: dict) -> dict:
         data = json.dumps(wire.jsonify_payload(payload)).encode("utf-8")

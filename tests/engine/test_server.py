@@ -1,13 +1,26 @@
 """The serve daemon: wire protocol, cross-connection sharing, shutdown."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.bags import Bag
 from repro.core.schema import Schema
+from repro.engine import fingerprint, wire
+from repro.engine.jobs import parse_jobs, run_jobs
+from repro.engine.session import Engine
 from repro.io import bag_to_dict
 from repro.server import ReproServer, ServeClient
+from repro.workloads.generators import (
+    perturb_bag,
+    wide_planted_collection,
+    wide_planted_pair,
+)
 
 AB = Schema(["A", "B"])
 BC = Schema(["B", "C"])
@@ -32,9 +45,9 @@ class TestProtocol:
     def test_ping(self, tcp_server):
         _, address = tcp_server
         with ServeClient(address) as client:
-            # the default daemon advertises v2 frames in its ping
+            # the default daemon advertises v2 frames and bag refs
             assert client.request({"op": "ping"}) == {
-                "ok": True, "op": "ping", "wire": 2,
+                "ok": True, "op": "ping", "wire": 2, "bag_refs": True,
             }
 
     def test_batch_report_matches_cli_shape(self, tcp_server):
@@ -453,3 +466,143 @@ class TestPersistentServe:
         assert code == 2  # socket already held -> usage error
         assert "persistent store at" in captured.out
         assert "0 records warm" in captured.out
+
+
+# -- a real daemon process --------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
+
+# `repro serve` with its response write delayed for the `shutdown` op
+# only: longer than serve_forever's 0.1 s poll, so a stop started
+# before the write would let the process exit with the reply unsent.
+SLOW_BYE = """
+import sys, time
+from repro import server
+respond = server._Handler._respond
+def slow_respond(self, window, response, framed):
+    if response.get("bye"):
+        time.sleep(0.5)
+    respond(self, window, response, framed)
+server._Handler._respond = slow_respond
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def spawn_daemon(sock: str, code: str = "from repro.cli import main; "
+                 "import sys; sys.exit(main(sys.argv[1:]))"):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "serve", "--socket", sock],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+    line = proc.stdout.readline()
+    assert line.startswith(b"serving on unix socket"), line
+    return proc
+
+
+class TestDaemonProcess:
+    def test_shutdown_reply_survives_a_slow_write(self, tmp_path):
+        sock = str(tmp_path / "slow.sock")
+        proc = spawn_daemon(sock, SLOW_BYE)
+        try:
+            with ServeClient(sock, timeout=30) as client:
+                assert client.request({"op": "ping"})["ok"]
+                assert client.request({"op": "shutdown"}) == {
+                    "ok": True, "op": "shutdown", "bye": True,
+                }
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+    def test_repeat_wide_request_decodes_under_one_kib(self, tmp_path):
+        """The daemon's own counters: the second framed request of the
+        same bags costs < 1 KiB of decoded frame and two ref hits."""
+        sock = str(tmp_path / "refs.sock")
+        proc = spawn_daemon(sock)
+        _, r, s = wide_planted_pair(random.Random(7), n_rows=512)
+        try:
+            with ServeClient(sock, wire_format="columnar") as framed, \
+                    ServeClient(sock, wire_format="json") as scrape:
+                first = framed.request({"pairs": [[r, s]]})
+                before = scrape.request({"op": "stats"})["kernels"]
+                second = framed.request({"pairs": [[r, s]]})
+                after = scrape.request({"op": "stats"})["kernels"]
+                assert scrape.request({"op": "shutdown"})["ok"]
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        assert before["wire_frame_bytes_decoded"] > 16 * 1024
+        decoded = after["wire_frame_bytes_decoded"] - before["wire_frame_bytes_decoded"]
+        assert 0 < decoded < 1024
+        assert after["wire_bag_ref_hits"] - before["wire_bag_ref_hits"] == 2
+        assert after["wire_bag_ref_wants"] == 0
+        assert json.dumps(first["report"]["pairs"]) == json.dumps(
+            second["report"]["pairs"]
+        )
+
+
+# -- differential: ref path vs full path ------------------------------
+
+SECTIONS = ("pairs", "collections", "suites")
+
+
+def differential_payload(seed: int) -> dict:
+    """Bag objects in every job shape, consistent and not, plus a
+    suite: a reversed pair and a sub-collection reuse bags."""
+    rng = random.Random(seed)
+    _, r1, s1 = wide_planted_pair(rng, n_rows=48)
+    _, r2, s2 = wide_planted_pair(rng, n_rows=48)
+    _, coll = wide_planted_collection(rng, n_bags=3, n_rows=24)
+    return {
+        "pairs": [[r1, s1], [r2, perturb_bag(s2, rng)], [s1, r1]],
+        "collections": [
+            {"bags": coll},
+            {"bags": [coll[0], perturb_bag(coll[1], rng)]},
+        ],
+        "suites": [["planted-path", 4, seed]],
+    }
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "persistent"])
+@pytest.mark.parametrize("witnesses", [False, True], ids=["plain", "witnesses"])
+def test_ref_path_reports_match_full_path(tmp_path, witnesses, durable, backend):
+    payload = differential_payload(seed=5)
+    bags = {
+        fingerprint.of_bag(bag)
+        for pair in payload["pairs"] for bag in pair
+    } | {
+        fingerprint.of_bag(bag)
+        for coll in payload["collections"] for bag in coll["bags"]
+    }
+    cold = run_jobs(parse_jobs(payload), Engine(), witnesses=witnesses)
+    server = ReproServer(
+        witnesses=witnesses,
+        backend=backend,
+        parallelism=2 if backend == "process" else None,
+        store_dir=str(tmp_path / "store") if durable else None,
+    )
+    address = server.bind_tcp()
+    server.serve_in_background()
+    try:
+        with ServeClient(address, wire_format="json") as client:
+            rowed = client.request(payload)["report"]
+        with ServeClient(address, wire_format="columnar") as client:
+            framed = client.request(payload)["report"]
+            hits = wire.wire_stats()["wire_bag_ref_hits"]
+            reffed = client.request(payload)["report"]
+    finally:
+        server.shutdown()
+    assert wire.wire_stats()["wire_bag_ref_hits"] - hits == len(bags)
+    for section in SECTIONS:
+        expected = json.dumps(cold[section], sort_keys=True)
+        for report in (rowed, framed, reffed):
+            assert json.dumps(report[section], sort_keys=True) == expected

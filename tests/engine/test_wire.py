@@ -14,9 +14,10 @@ from repro.core.schema import Schema
 from repro.engine import columnar, executors, fingerprint, wire
 from repro.engine.index import BagIndex
 from repro.engine.jobs import parse_jobs, run_jobs
-from repro.engine.session import Engine
+from repro.engine.session import BagRef, BagsWanted, Engine
 from repro.errors import ReproError
 from repro.io import bag_to_dict
+from repro import server as server_module
 from repro.server import ReproServer, ServeClient
 from repro.workloads.generators import wide_planted_pair
 
@@ -488,3 +489,245 @@ class TestObservability:
             Engine(),
         )
         assert "wire_frames_encoded" in report["kernels"]
+
+
+def sent_frames(monkeypatch) -> list[int]:
+    """Record the size of every jobs frame a client encodes — exactly
+    the bytes the daemon reads and decodes for that request."""
+    sizes: list[int] = []
+    real = wire.encode_jobs_frame
+
+    def spy(payload, refs=frozenset()):
+        frame = real(payload, refs)
+        sizes.append(len(frame))
+        return frame
+
+    monkeypatch.setattr(wire, "encode_jobs_frame", spy)
+    return sizes
+
+
+def ref_counts() -> tuple[int, int]:
+    stats = wire.wire_stats()
+    return stats["wire_bag_ref_hits"], stats["wire_bag_ref_wants"]
+
+
+def raw_frame_request(address, header: dict) -> dict:
+    """Send one hand-built jobs frame and read the framed response."""
+    raw = socket.create_connection(address, timeout=10)
+    try:
+        raw.sendall(wire.pack_frame(header))
+        response_header, _ = wire.read_frame(raw.makefile("rb"))
+    finally:
+        raw.close()
+    return wire.response_from_frame(response_header)
+
+
+class TestBagRefs:
+    def test_mixed_ref_and_full_payload_decodes(self):
+        (r1, s1), (r2, s2) = wide_pair(), wide_pair()
+        small_r, small_s = small_pair(mult=7)
+        known = {fingerprint.of_bag(r1), fingerprint.of_bag(small_s)}
+        payload = {
+            "pairs": [[r1, s1], [r2, s2]],
+            "collections": [{"bags": [small_r, small_s]}],
+            "suites": [["planted-path", 4, 0]],
+        }
+        plain = round_trip(payload)  # no refs unless asked
+        assert plain["pairs"][0] == [r1, s1]
+        frame = wire.encode_jobs_frame(payload, refs=known)
+        header, blob = wire.read_frame(io.BytesIO(frame))
+        assert header["bags"][0] == {"ref": fingerprint.of_bag(r1)}
+        assert sum("ref" in desc for desc in header["bags"]) == 2
+        decoded = wire.decode_jobs_frame(header, blob)
+        assert decoded["pairs"][0] == [BagRef(fingerprint.of_bag(r1)), s1]
+        assert decoded["pairs"][1] == [r2, s2]
+        assert decoded["collections"][0]["bags"] == [
+            small_r, BagRef(fingerprint.of_bag(small_s)),
+        ]
+        assert decoded["suites"] == [["planted-path", 4, 0]]
+        jobs = parse_jobs(decoded)
+        assert jobs.pairs[0][0] == BagRef(fingerprint.of_bag(r1))
+
+    def test_malformed_refs_rejected(self):
+        payload = {"pairs": [[{"$bag": 0}, {"$bag": 0}]]}
+        for desc in ({"ref": -1}, {"ref": "x"}, {"ref": 1 << 128}):
+            with pytest.raises(wire.WireError):
+                wire.decode_jobs_frame(
+                    {"v": 2, "payload": payload, "bags": [desc]}, b""
+                )
+        # spill frames never carry refs
+        frame = wire.pack_frame({"v": 2, "bags": [{"ref": 5}]})
+        with pytest.raises(wire.WireError):
+            wire.decode_bag_table(frame)
+
+    def test_evicted_entry_draws_want_then_one_resend(self, monkeypatch):
+        server = ReproServer(capacity=1)
+        address = server.bind_tcp()
+        server.serve_in_background()
+        (r1, s1), (r2, s2) = wide_pair(), wide_pair()
+        try:
+            with ServeClient(address, wire_format="columnar") as client:
+                assert client.request({"pairs": [[r1, s1]]})["ok"]
+                # the second pair's verdict evicts the first's
+                assert client.request({"pairs": [[r2, s2]]})["ok"]
+                hits, wants = ref_counts()
+                sizes = sent_frames(monkeypatch)
+                response = client.request({"pairs": [[r1, s1]]})
+        finally:
+            server.shutdown()
+        assert response["ok"] and response["op"] == "batch"
+        assert response["report"]["pairs"] == [{"consistent": True}]
+        assert len(sizes) == 2  # the ref frame, then one full resend
+        assert sizes[0] < 1024 < sizes[1]
+        assert ref_counts() == (hits, wants + 2)
+
+    def test_ref_to_unshipped_fingerprint_gets_want(self, tcp_server):
+        server, address = tcp_server
+        r, s = small_pair(mult=11)
+        with ServeClient(address) as client:  # populate the store a bit
+            assert client.request({"pairs": [[r, s]]})["ok"]
+        entries = len(server.store)
+        stranger = fingerprint.of_bag(small_pair(mult=12)[0])
+        hits, wants = ref_counts()
+        payload = {"pairs": [[{"$bag": 0}, {"$bag": 1}]]}
+        # all refs, then one ref beside a full bag: never a verdict
+        for bags, wanted in (
+            ([{"ref": stranger}, {"ref": 12345}], [12345, stranger]),
+            ([{"ref": stranger}, {"json": bag_to_dict(s)}], [stranger]),
+        ):
+            response = raw_frame_request(
+                address, {"v": 2, "payload": payload, "bags": bags}
+            )
+            assert response == {"ok": True, "op": "want", "want": wanted}
+            assert "report" not in response
+        assert len(server.store) == entries  # a ref never writes the store
+        assert ref_counts() == (hits, wants + 3)
+
+    def test_refs_need_the_advertisement(self, monkeypatch):
+        """A ``--wire-format json`` daemon and a daemon whose ping lacks
+        ``bag_refs`` never receive a ref descriptor."""
+        decoded = []
+        real_decode = wire.decode_jobs_frame
+
+        def spy(header, blob):
+            decoded.extend(header.get("bags") or [])
+            return real_decode(header, blob)
+
+        monkeypatch.setattr(wire, "decode_jobs_frame", spy)
+
+        class NoRefsServer(ReproServer):
+            def _handle_op(self, payload, op, engine):
+                response = super()._handle_op(payload, op, engine)
+                response.pop("bag_refs", None)
+                return response
+
+        r, s = wide_pair()
+        for server in (ReproServer(wire_format="json"), NoRefsServer()):
+            address = server.bind_tcp()
+            server.serve_in_background()
+            try:
+                with ServeClient(address, wire_format="columnar") as client:
+                    for _ in range(3):
+                        response = client.request({"pairs": [[r, s]]})
+                        assert response["report"]["pairs"] == [
+                            {"consistent": True}
+                        ]
+            finally:
+                server.shutdown()
+        assert len(decoded) == 6  # NoRefsServer: 3 frames x 2 full bags
+        assert not any("ref" in desc for desc in decoded)
+
+    def test_refs_with_inline_json_descriptors(self, tcp_server, monkeypatch):
+        """The REPRO_NO_NUMPY path: bags ride inline JSON, refs still
+        replace them on the repeat."""
+        _, address = tcp_server
+        r, s = wide_pair()
+        sizes = sent_frames(monkeypatch)
+        with columnar.disabled():
+            frame = wire.encode_jobs_frame({"pairs": [[r, s]]})
+            header, _ = wire.read_frame(io.BytesIO(frame))
+            assert all("json" in desc for desc in header["bags"])
+            with ServeClient(address, wire_format="columnar") as client:
+                first = client.request({"pairs": [[r, s]]})
+                hits, _ = ref_counts()
+                second = client.request({"pairs": [[r, s]]})
+        assert first["report"]["pairs"] == second["report"]["pairs"]
+        assert sizes[-1] < 1024 < sizes[-2]
+        assert ref_counts()[0] == hits + 2
+
+    def test_a_job_with_a_new_bag_ships_its_known_bags_in_full(
+        self, tcp_server, monkeypatch
+    ):
+        _, address = tcp_server
+        (r, s), (_, t) = wide_pair(), wide_pair()
+        sizes = sent_frames(monkeypatch)
+        with ServeClient(address, wire_format="columnar") as client:
+            assert client.request({"pairs": [[r, s]]})["ok"]
+            hits, wants = ref_counts()
+            # r is known but (r, t) has no stored answer: no ref, no want
+            assert client.request({"pairs": [[r, t]]})["ok"]
+        assert len(sizes) == 2
+        assert ref_counts() == (hits, wants)
+
+    def test_remembered_fingerprints_stay_bounded(self):
+        known = server_module._KnownBags(server_module.KNOWN_BAGS)
+        for start in range(0, 10_000, 2):
+            known.remember([[start, start + 1]])
+        assert len(known) == server_module.KNOWN_BAGS
+        # least recently used go first: the newest pair is still known
+        assert known.refs([[9_998, 9_999]]) == {9_998, 9_999}
+        assert known.refs([[0, 1]]) == set()
+
+    def test_client_memory_bounded_under_ten_thousand_bags(self, tcp_server):
+        _, address = tcp_server
+        schema = Schema(["A"])
+        pairs = [
+            [Bag.from_pairs(schema, [((i,), 1)]),
+             Bag.from_pairs(schema, [((i,), 2)])]
+            for i in range(5_000)
+        ]
+        with ServeClient(address, wire_format="columnar") as client:
+            response = client.request({"pairs": pairs})
+            assert response["ok"] and len(response["report"]["pairs"]) == 5_000
+            assert len(client._known) == server_module.KNOWN_BAGS
+
+
+class TestRefsFailClosed:
+    def test_every_miss_branch_raises_bags_wanted(self):
+        r, s = small_pair(mult=13)
+        ref = BagRef(fingerprint.of_bag(Bag.from_pairs(AB, [((9, 9), 9)])))
+        engine = Engine()
+        calls = [
+            lambda: engine.marginal(ref, Schema(["A"])),
+            lambda: engine.join(ref, s),
+            lambda: engine.are_consistent(r, ref),
+            lambda: engine.witness(ref, s),
+            lambda: engine.global_check([r, ref]),
+            lambda: engine.are_consistent_many([(ref, s)], backend="thread",
+                                               parallelism=2),
+            lambda: engine.witness_many([(r, ref)], backend="process",
+                                        parallelism=2),
+            lambda: engine.global_check_many([[ref, s]], backend="process",
+                                             parallelism=2),
+        ]
+        for call in calls:
+            with pytest.raises(BagsWanted) as caught:
+                call()
+            assert caught.value.fps == [ref.fp]
+        assert len(engine.store) == 0  # a ref never writes the store
+
+    def test_refs_read_stored_answers(self):
+        r, s = small_pair(mult=14)
+        engine = Engine()
+        assert engine.are_consistent(r, s)
+        witness = engine.witness(r, s)
+        verdict = engine.global_check([r, s])
+        entries = len(engine.store)
+        ref_r, ref_s = BagRef(fingerprint.of_bag(r)), BagRef(fingerprint.of_bag(s))
+        assert engine.are_consistent(ref_s, ref_r)  # unordered key
+        assert engine.witness(ref_r, ref_s) is witness
+        assert engine.global_check([ref_r, s]) is verdict
+        assert engine.are_consistent_many(
+            [(ref_r, ref_s)], backend="process", parallelism=2
+        ) == [True]
+        assert len(engine.store) == entries

@@ -200,3 +200,67 @@ class TestCrossLayerTrace:
         ]
         assert reads, entry["spans"]
         assert all(span["bytes"] > 0 for span in reads)
+
+
+class TestWholeRequestTrace:
+    def _served(self, wire_format: str, payload: dict) -> dict:
+        obs_trace.RECENT.clear()
+        server = ReproServer()
+        address = server.bind_tcp()
+        server.serve_in_background()
+        try:
+            with ServeClient(address, wire_format=wire_format) as client:
+                assert client.request(payload)["ok"]
+                stats = client.request({"op": "stats"})
+        finally:
+            server.shutdown()
+        (entry,) = [
+            e for e in obs_trace.RECENT.snapshot()
+            if e["op"] == "serve.batch"
+        ]
+        assert stats["latency"]["batch"]["count"] == 1
+        return entry
+
+    @pytest.mark.parametrize("wire_format", ["json", "columnar"])
+    def test_trace_runs_from_decode_to_response_write(self, wire_format):
+        r = Bag.from_pairs(AB, [((1, 2), 2), ((2, 2), 1)])
+        s = Bag.from_pairs(BC, [((2, 5), 3)])
+        entry = self._served(wire_format, {"pairs": [[r, s]]})
+        spans = {span["name"]: span for span in entry["spans"]}
+        order = ["wire.decode", "jobs.pairs", "wire.response_encode"]
+        assert set(order) <= set(spans), sorted(spans)
+        starts = [spans[name]["start_ms"] for name in order]
+        assert starts == sorted(starts)
+        encode = spans["wire.response_encode"]
+        assert encode["bytes"] > 0
+        # the window closes after the write, past the encode
+        assert encode["start_ms"] + encode["ms"] <= entry["total_ms"]
+
+    def test_bag_ref_counters_are_prometheus_counters(self):
+        r = Bag.from_pairs(AB, [((1, 2), 2), ((2, 2), 1)])
+        s = Bag.from_pairs(BC, [((2, 5), 3)])
+        server = ReproServer()
+        address = server.bind_tcp()
+        server.serve_in_background()
+        try:
+            with ServeClient(address, wire_format="columnar") as client:
+                for _ in range(2):
+                    assert client.request({"pairs": [[r, s]]})["ok"]
+                stats = client.request({"op": "stats"})
+                metrics = client.request({"op": "metrics"})
+        finally:
+            server.shutdown()
+        kernels = stats["kernels"]
+        assert kernels["wire_bag_ref_hits"] >= 2
+        assert "wire_bag_ref_wants" in kernels
+        counters = metrics["json"]["counters"]
+        assert counters["repro_wire_bag_refs_total{result=hit}"] == (
+            kernels["wire_bag_ref_hits"]
+        )
+        assert "repro_wire_bag_refs_total{result=want}" in counters
+        prom = metrics["prometheus"].splitlines()
+        assert "# TYPE repro_wire_bag_refs_total counter" in prom
+        assert any(
+            line.startswith('repro_wire_bag_refs_total{result="hit"} ')
+            for line in prom
+        ), prom
