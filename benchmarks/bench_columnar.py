@@ -109,7 +109,7 @@ def test_columnar_witness_workload_speedup():
     witness workload, every result cross-checked against the oracle."""
     row_queries = queries_over(make_pool(2000))
     col_queries = queries_over(make_pool(3000))
-    # Warm both paths (plan compilation, interner allocation) so the
+    # Warm both paths (plan compilation, first encodings) so the
     # measurement compares steady-state executions.
     run_row_path(row_queries[:1])
     run_columnar_path(col_queries[:1])

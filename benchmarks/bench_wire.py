@@ -6,7 +6,7 @@ Two claims:
    stream of wide two-bag batches against one ``repro serve`` daemon, a
    ``wire_format="columnar"`` client — which ships each bag once as
    dense int64 code arrays plus dictionary slices, and whose seeded
-   fingerprints let the daemon adopt the encoding without re-interning
+   fingerprints let the daemon adopt the encoding without re-encoding
    — completes the stream at least ``MIN_WIRE_SPEEDUP``x faster than a
    ``wire_format="json"`` client sending the same bags as sorted row
    lists.  Reports are asserted bit-identical between the two formats.

@@ -1,10 +1,10 @@
 """The shared-state registry: one source of truth for lint and runtime.
 
-The two silent wrong-verdict defects this repo has shipped (the
-``_Interner`` thread race and the ``ColumnarDelta`` snapshot-aliasing
-corruption) were both violations of invariants that existed only in
-reviewers' heads.  This module turns those invariants into
-*declarations that live in the code being checked*:
+The two silent wrong-verdict defects this repo has shipped (a thread
+race in a process-global value interner, since deleted, and the
+``ColumnarDelta`` snapshot-aliasing corruption) were both violations of
+invariants written down nowhere.  This module turns those invariants
+into *declarations that live in the code being checked*:
 
 * ``@shared_state(lock_attr, *fields, tier=...)`` on a class declares
   that writes to the listed fields are only legal while the instance's
@@ -33,12 +33,11 @@ The declarations are consumed twice, by design from one spot:
   when ``REPRO_SANITIZE=1`` (or :func:`repro.analysis.sanitizer.enable`)
   is active.
 
-The declared lock order is ``engine -> store -> columnar -> interner ->
-obs``: while holding a lock of one tier, only locks of *later* tiers may
-be acquired.  (The issue's ``engine -> store -> interner`` order, with
-the columnar encode-publication tier slotted before the interner tier it
-may acquire while encoding; the ``obs`` telemetry tier sits last so any
-layer may record a metric while holding its own lock.)
+The declared lock order is ``engine -> store -> columnar -> obs``:
+while holding a lock of one tier, only locks of *later* tiers may be
+acquired.  (``columnar`` is the encode-publication tier; the ``obs``
+telemetry tier sits last so any layer may record a metric while holding
+its own lock.)
 
 This module imports nothing from the rest of the package, so the hot
 modules can import it at startup without cycles.
@@ -63,7 +62,7 @@ __all__ = [
 
 # The declared global lock-acquisition order (RL05): holding a lock of
 # tier i, code may only acquire locks of tiers > i.
-LOCK_ORDER = ("engine", "store", "columnar", "interner", "obs")
+LOCK_ORDER = ("engine", "store", "columnar", "obs")
 
 
 class SharedSpec:
@@ -227,7 +226,7 @@ def register_lock(
     attribute names whose *assignment* anywhere in the package must
     happen under this lock (publication slots like ``_columnar``,
     exempting ``__init__``); ``containers`` are module-global mapping
-    names whose *mutation* must (``_INTERNERS``).  Returns the lock so
+    names whose *mutation* must (``_ACTIVE_SEGMENTS``).  Returns the lock so
     declarations can wrap construction::
 
         _ENCODE_LOCK = register_lock(

@@ -3,8 +3,8 @@ marginal, consistency, witness, join, semijoin, and fingerprint paths.
 
 The row kernels in :mod:`repro.engine.kernels` walk Python tuples one
 ``itemgetter`` call at a time.  This module gives every eligible bag a
-**columnar encoding** — per-attribute dictionaries interning values to
-dense int codes, the bag stored as int64 code columns plus an int64
+**columnar encoding** — per-column dictionaries mapping values to dense
+int codes, the bag stored as int64 code columns plus an int64
 multiplicity vector — and rebuilds the hot operations as numpy array
 programs:
 
@@ -33,11 +33,14 @@ programs:
   unchanged, so fingerprints stay identical across backends and
   processes — the shared stores depend on that).
 
-**Interners are global and append-only**: each attribute owns one
-value -> code dictionary for the whole process, so codes are comparable
-across bags sharing attributes and stay stable as the dictionary grows
-(encodings cached on one bag never go stale when another bag interns
-new values).
+**Dictionaries are bag-local**: each encoding carries its own
+per-column dictionary (distinct values, one per code — first-appearance
+order when encoded here, the sender's order when adopted off the wire).
+By Lemma 2 codes need to agree only on the common attributes of two
+bags, and only when they meet, so each pair kernel translates the right
+side's common columns into the left's code space for that one call.
+Nothing outlives the encodings themselves: there is no process-wide
+value table to grow, lock, or re-base.
 
 **Encodings are cached per content** : the encoding lives on the bag's
 :class:`~repro.engine.index.BagIndex`, and value-equal bags adopt one
@@ -59,10 +62,11 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ..analysis.registry import register_lock, sanitizer_active, shared_state
+from ..analysis.registry import register_lock, sanitizer_active
 from ..analysis.sanitizer import freeze_array, freeze_rows
+from ..core.schema import projection_plan
 from ..obs import metrics as obs_metrics
 
 if os.environ.get("REPRO_NO_NUMPY"):
@@ -82,10 +86,8 @@ __all__ = [
     "AVAILABLE",
     "MAX_TOTAL",
     "MIN_ROWS",
-    "PortableEncoding",
     "disabled",
     "enabled",
-    "export_encoding",
     "import_encoding",
     "kernel_stats",
     "reset_kernel_stats",
@@ -197,74 +199,79 @@ def reset_kernel_stats() -> None:
 # -- dictionary encoding ------------------------------------------------
 
 
-@shared_state("lock", "codes", "values", "_decode", tier="interner")
-class _Interner:
-    """One attribute's global value -> dense code dictionary.
-
-    Append-only: a value's code never changes once assigned, so cached
-    encodings stay valid forever and codes are comparable across every
-    bag sharing the attribute.  ``values`` is the inverse table (decode
-    side), grown in lockstep.
-
-    Thread-safe for the ThreadExecutor backend: hits read ``codes``
-    lock-free, misses intern under ``lock`` with a double-checked
-    re-get, and a value lands in ``values`` before its code is
-    published so a lock-free reader never sees a code without its
-    decode entry.
-    """
-
-    __slots__ = ("codes", "values", "lock", "_decode")
-
-    def __init__(self) -> None:
-        self.codes: dict = {}
-        self.values: list = []
-        self.lock = threading.Lock()
-        self._decode = None  # object ndarray mirror of values, lazy
-
-    def encode(self, column: Iterable) -> "np.ndarray":
-        codes = self.codes
-        out = []
-        append = out.append
-        for value in column:
-            code = codes.get(value)
-            if code is None:
-                with self.lock:
-                    code = codes.get(value)
-                    if code is None:
-                        self.values.append(value)
-                        self._decode = None
-                        code = codes[value] = len(self.values) - 1
-            append(code)
-        return np.array(out, dtype=np.int64)
-
-    def decode_array(self) -> "np.ndarray":
-        """The values table as an object ndarray (vectorized decode via
-        fancy indexing; object dtype so tuple-valued attributes survive
-        untouched)."""
-        arr = self._decode
-        n = len(self.values)
-        if arr is None or len(arr) != n:
-            with self.lock:
-                n = len(self.values)
-                arr = np.empty(n, dtype=object)
-                arr[:] = self.values[:n]
-                self._decode = arr
-        return arr
+def _encode_columns(row_list: list, lookups: list) -> tuple[list, list]:
+    """Code columns of ``row_list`` against one value -> code map per
+    column, extending each map with the next code for every value it
+    lacks (first-appearance order).  Returns ``(cols, dicts)``; the
+    dictionaries are fresh lists, never aliases of earlier ones."""
+    cols = [
+        np.array(
+            [lookup.setdefault(row[i], len(lookup)) for row in row_list],
+            dtype=np.int64,
+        )
+        for i, lookup in enumerate(lookups)
+    ]
+    return cols, [list(lookup) for lookup in lookups]
 
 
-_INTERNERS: dict = {}
-_INTERN_LOCK = register_lock(
-    "_INTERN_LOCK", threading.Lock(), tier="interner",
-    containers=("_INTERNERS",),
-)
+def _void_keys(cols: list) -> "np.ndarray":
+    """Rows of the code columns ``cols`` as one void column whose byte
+    comparison equals lexicographic numeric comparison (codes are
+    non-negative, so big-endian bytes sort like the ints)."""
+    n = len(cols[0])
+    matrix = np.empty((n, len(cols)), dtype=_BIG)
+    for j, col in enumerate(cols):
+        matrix[:, j] = col
+    return matrix.view(f"V{8 * len(cols)}").reshape(n)
 
 
-def _interner(attr) -> _Interner:
-    interner = _INTERNERS.get(attr)
-    if interner is None:
-        with _INTERN_LOCK:
-            interner = _INTERNERS.setdefault(attr, _Interner())
-    return interner
+class _Encoded:
+    """What a columnar bag and a columnar relation share: ``cols[i]``
+    holds attribute ``attrs[i]``'s int64 codes into the instance's own
+    dictionary ``dicts[i]`` (distinct values, one per code); ``rows``
+    the original value tuples in the same row order, so emission reuses
+    validated tuples instead of decoding."""
+
+    __slots__ = ("attrs", "cols", "dicts", "rows", "_lookups")
+
+    def __init__(self, attrs, cols, dicts, rows) -> None:
+        self.attrs = attrs
+        self.cols = cols
+        self.dicts = dicts
+        self.rows = rows
+        self._lookups: dict = {}  # column index -> value -> code, lazy
+
+    def columns(self, target_attrs: tuple) -> list:
+        return [self.cols[self.attrs.index(a)] for a in target_attrs]
+
+    def lookup(self, p: int) -> dict:
+        # Built on first use, unlocked: published encodings are shared
+        # across threads, and a racing second build is equal and harmless.
+        cached = self._lookups.get(p)
+        if cached is None:
+            values = self.dicts[p]
+            cached = self._lookups[p] = dict(zip(values, range(len(values))))
+        return cached
+
+
+def _aligned(left: _Encoded, right: _Encoded, attrs: tuple) -> list:
+    """``right``'s code columns for ``attrs`` translated into ``left``'s
+    code space, for one call: each right dictionary value takes its left
+    code, and a value the left lacks takes a fresh code past the left
+    dictionary, so it matches no left row."""
+    out = []
+    for attr in attrs:
+        lp, rp = left.attrs.index(attr), right.attrs.index(attr)
+        lookup, values = left.lookup(lp), right.dicts[rp]
+        table = np.fromiter(
+            (lookup.get(value, -1) for value in values),
+            dtype=np.int64, count=len(values),
+        )
+        missing = table < 0
+        fresh = len(left.dicts[lp])
+        table[missing] = np.arange(fresh, fresh + int(missing.sum()))
+        out.append(table[right.cols[rp]])
+    return out
 
 
 # -- the columnar bag ---------------------------------------------------
@@ -279,111 +286,87 @@ class _Grouping:
     key; ``starts``: group start offsets into ``order``.
     """
 
-    __slots__ = ("keys", "sums", "order", "starts", "positions")
+    __slots__ = ("keys", "sums", "order", "starts")
 
-    def __init__(self, keys, sums, order, starts, positions) -> None:
+    def __init__(self, keys, sums, order, starts) -> None:
         self.keys = keys
         self.sums = sums
         self.order = order
         self.starts = starts
-        self.positions = positions  # column indices of the target attrs
 
 
-def _void_keys(matrix: "np.ndarray") -> "np.ndarray":
-    """Rows of a big-endian int64 (n, k) matrix as one void column whose
-    byte comparison equals lexicographic numeric comparison (codes are
-    non-negative, so big-endian bytes sort like the ints)."""
-    n, k = matrix.shape
-    return np.ascontiguousarray(matrix).view(f"V{8 * k}").reshape(n)
-
-
-class ColumnarBag:
-    """The dictionary-encoded twin of one immutable bag's contents.
-
-    ``cols[i]`` holds attribute ``attrs[i]``'s int64 codes; ``mults``
-    the (positive) multiplicities; ``rows`` the original value tuples in
-    the same row order, so join/witness emission reuses validated
-    tuples instead of decoding.  Groupings are cached per target — the
-    Lemma 2 test, the witness, and the join all reuse one sort.
+class ColumnarBag(_Encoded):
+    """The dictionary-encoded twin of one immutable bag's contents:
+    ``mults`` holds the (positive) multiplicities in row order.
+    Groupings are cached per target — the Lemma 2 test, the witness, and
+    the join all reuse one sort.
     """
 
-    __slots__ = ("attrs", "cols", "mults", "rows", "total", "_groupings")
+    __slots__ = ("mults", "total", "_groupings")
 
     # Snapshot contract: once an instance is published (cached on an
     # index or returned by ColumnarDelta.snapshot) these are rebound,
     # never mutated in place (RL03; frozen physically under
     # REPRO_SANITIZE).
-    FROZEN_FIELDS = ("cols", "mults", "rows")
+    FROZEN_FIELDS = ("cols", "dicts", "mults", "rows")
 
-    def __init__(self, attrs, cols, mults, rows, total) -> None:
-        self.attrs = attrs
-        self.cols = cols
+    def __init__(self, attrs, cols, dicts, mults, rows, total) -> None:
+        super().__init__(attrs, cols, dicts, rows)
         self.mults = mults
-        self.rows = rows
         self.total = total
         self._groupings: dict = {}
 
     def grouping(self, target_attrs: tuple) -> _Grouping:
         cached = self._groupings.get(target_attrs)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self.group_by(self.columns(target_attrs))
+            self._groupings[target_attrs] = cached
+        return cached
+
+    def group_by(self, cols: list) -> _Grouping:
+        """Group the rows by the code columns ``cols`` (this bag's own,
+        or another encoding's code space via :func:`_aligned`)."""
         n = len(self.rows)
-        if not target_attrs:
+        if not cols:
             # The empty target schema: one group holding every row.
-            grouping = _Grouping(
+            return _Grouping(
                 None,
                 np.array([self.total], dtype=np.int64),
                 np.arange(n, dtype=np.int64),
                 np.array([0], dtype=np.int64),
-                (),
             )
-        else:
-            pos = tuple(self.attrs.index(a) for a in target_attrs)
-            matrix = np.empty((n, len(pos)), dtype=_BIG)
-            for j, p in enumerate(pos):
-                matrix[:, j] = self.cols[p]
-            keys = _void_keys(matrix)
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            if n:
-                boundary = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1])
-                starts = np.concatenate(
-                    ([0], boundary + 1)
-                ).astype(np.int64)
-            else:
-                starts = np.empty(0, dtype=np.int64)
-            sums = (
-                np.add.reduceat(self.mults[order], starts)
-                if n
-                else np.empty(0, dtype=np.int64)
-            )
-            grouping = _Grouping(
-                sorted_keys[starts], sums, order, starts, pos
-            )
-        self._groupings[target_attrs] = grouping
-        return grouping
+        keys = _void_keys(cols)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        if not n:
+            empty = np.empty(0, dtype=np.int64)
+            return _Grouping(sorted_keys, empty, order, empty)
+        boundary = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1])
+        starts = np.concatenate(([0], boundary + 1)).astype(np.int64)
+        sums = np.add.reduceat(self.mults[order], starts)
+        return _Grouping(sorted_keys[starts], sums, order, starts)
 
     def marginal_table(self, target_attrs: tuple) -> dict[tuple, int]:
         """The Equation (2) marginal as a plain row -> multiplicity dict
-        (what :class:`~repro.core.bags.Bag` stores)."""
+        (what :class:`~repro.core.bags.Bag` stores).  Each key is the
+        projection of its group's first row — the one the row kernel
+        keeps too."""
         grouping = self.grouping(target_attrs)
         if grouping.keys is None:
             return {(): int(grouping.sums[0])} if self.total else {}
-        k = len(target_attrs)
-        codes = grouping.keys.view(_BIG).reshape(-1, k)
-        decoded = [
-            _interner(attr).decode_array()[codes[:, j]]
-            for j, attr in enumerate(target_attrs)
-        ]
-        sums = grouping.sums.tolist()
-        return dict(zip(zip(*(col.tolist() for col in decoded)), sums))
+        project = projection_plan(self.attrs, target_attrs)
+        rows = self.rows
+        firsts = grouping.order[grouping.starts].tolist()
+        return {
+            project(rows[i]): mult
+            for i, mult in zip(firsts, grouping.sums.tolist())
+        }
 
 
 _INELIGIBLE = object()
 
 # Publication lock for the per-index `_columnar` slot (and the
-# `_INELIGIBLE` sentinel): encoding happens *outside* the lock — it may
-# acquire interner locks, hence the earlier "columnar" tier — and the
+# `_INELIGIBLE` sentinel): encoding happens *outside* the lock, and the
 # slot is then published with a double-checked re-read, first encoder
 # wins and losers adopt the published value.
 _ENCODE_LOCK = register_lock(
@@ -409,13 +392,14 @@ def _publish(index, encoded):
     return None if cached is _INELIGIBLE else cached
 
 
-def _freeze_bag(encoded: ColumnarBag) -> ColumnarBag:
+def _freeze(encoded: _Encoded) -> _Encoded:
     """Physically freeze a published encoding under REPRO_SANITIZE."""
     if sanitizer_active():
         for col in encoded.cols:
             freeze_array(col)
-        freeze_array(encoded.mults)
+        freeze_array(getattr(encoded, "mults", None))
         encoded.rows = freeze_rows(encoded.rows)
+        encoded.dicts = freeze_rows([freeze_rows(v) for v in encoded.dicts])
     return encoded
 
 
@@ -446,7 +430,7 @@ def of_index(index) -> ColumnarBag | None:
         return None
     encoded = encode_rows(bag._schema.attrs, mults.keys(), mults.values(),
                           n, total)
-    return _publish(index, _freeze_bag(encoded))
+    return _publish(index, _freeze(encoded))
 
 
 def adopt_encoding(index, encoded) -> None:
@@ -459,59 +443,17 @@ def adopt_encoding(index, encoded) -> None:
             index._columnar = encoded
 
 
-class PortableEncoding:
-    """One bag's columnar contents re-based for another process:
-    per-column **local** dictionaries (the distinct values actually
-    used) plus int64 code/multiplicity blobs referencing them.  Raw
-    interner codes never travel — interners are process-local and
-    append-only, so no two processes agree on them."""
-
-    __slots__ = ("attrs", "n", "total", "mults", "columns")
-
-    def __init__(self, attrs, n, total, mults, columns) -> None:
-        self.attrs = attrs      # tuple of attribute names
-        self.n = n              # support size (rows)
-        self.total = total      # multiplicity total (exact Python int)
-        self.mults = mults      # bytes: n little-endian int64s
-        self.columns = columns  # [(codes bytes, local values list), ...]
-
-    @property
-    def nbytes(self) -> int:
-        """The blob footprint (code + mult arrays; the executor's spill
-        floor compares this against the pickle path)."""
-        return len(self.mults) + sum(len(codes) for codes, _ in self.columns)
-
-
-def export_encoding(encoded: ColumnarBag) -> PortableEncoding:
-    """Re-base a cached encoding onto per-column local dictionaries
-    (``np.unique`` orders each column's distinct values by interner
-    code; the inverse permutation *is* the local code column)."""
-    columns = []
-    for attr, col in zip(encoded.attrs, encoded.cols):
-        uniq, inverse = np.unique(col, return_inverse=True)
-        values = _interner(attr).decode_array()[uniq].tolist()
-        columns.append(
-            (inverse.astype("<i8", copy=False).tobytes(), values)
-        )
-    return PortableEncoding(
-        encoded.attrs,
-        len(encoded.rows),
-        encoded.total,
-        encoded.mults.astype("<i8", copy=False).tobytes(),
-        columns,
-    )
-
-
 def import_encoding(attrs, n, mults_buf, columns):
-    """Remap a portable encoding into this process's interners.
+    """Adopt a sender's encoding as shipped.
 
-    ``columns`` holds ``(codes buffer, local values list)`` per
-    attribute; buffers may view shared memory — everything returned
-    owns its storage.  Returns ``(rows, mults list, ColumnarBag or
-    None)``; the encoding is ``None`` when the bag falls outside the
-    columnar envelope (below ``MIN_ROWS``, total past ``MAX_TOTAL``).
-    Raises ``ValueError`` on malformed contents (the wire layer wraps
-    it); the caller checks ``enabled()``.
+    ``columns`` holds ``(codes buffer, dictionary)`` per attribute; the
+    caller has checked that each dictionary's values are hashable and
+    distinct, and it becomes the bag's own.  Buffers may view shared
+    memory — everything returned owns its storage.  Returns ``(rows,
+    mults list, ColumnarBag or None)``; the encoding is ``None`` when
+    the bag falls outside the columnar envelope (below ``MIN_ROWS``,
+    total past ``MAX_TOTAL``).  Raises ``ValueError`` on malformed
+    contents (the wire layer wraps it); the caller checks ``enabled()``.
     """
     mults = np.frombuffer(mults_buf, dtype="<i8").astype(
         np.int64, copy=True
@@ -520,47 +462,44 @@ def import_encoding(attrs, n, mults_buf, columns):
         raise ValueError("multiplicity vector length mismatch")
     if n and int(mults.min()) <= 0:
         raise ValueError("non-positive multiplicity")
-    cols = []
-    decoded_cols = []
-    for attr, (codes_buf, values) in zip(attrs, columns):
-        local = np.frombuffer(codes_buf, dtype="<i8")
-        if len(local) != n:
+    cols, dicts, decoded_cols = [], [], []
+    for codes_buf, values in columns:
+        codes = np.frombuffer(codes_buf, dtype="<i8").astype(
+            np.int64, copy=True
+        )
+        if len(codes) != n:
             raise ValueError("code column length mismatch")
-        if n and (int(local.min()) < 0 or int(local.max()) >= len(values)):
+        if n and (int(codes.min()) < 0 or int(codes.max()) >= len(values)):
             raise ValueError("dictionary code out of range")
-        interner = _interner(attr)
-        # the remap table: local code -> this process's interner code;
-        # the gather produces an owned int64 column.
-        mapping = interner.encode(values)
-        codes = mapping[local] if n else np.empty(0, dtype=np.int64)
+        table = np.empty(len(values), dtype=object)
+        table[:] = values
         cols.append(codes)
-        decoded_cols.append(interner.decode_array()[codes])
-    if attrs:
-        rows = list(zip(*(col.tolist() for col in decoded_cols)))
-    else:
-        rows = [()] * n
+        dicts.append(values)
+        decoded_cols.append(table[codes].tolist())
+    rows = list(zip(*decoded_cols)) if attrs else [()] * n
     mult_list = mults.tolist()
     total = sum(mult_list)
     encoded = None
     if n >= MIN_ROWS and total <= MAX_TOTAL:
-        encoded = _freeze_bag(
-            ColumnarBag(tuple(attrs), cols, mults, rows, total)
+        encoded = _freeze(
+            ColumnarBag(tuple(attrs), cols, dicts, mults, rows, total)
         )
     return rows, mult_list, encoded
 
 
-def encode_rows(attrs, rows, mults, n, total) -> ColumnarBag:
+def encode_rows(attrs, rows, mults, n, total, lookups=None) -> ColumnarBag:
     """Dictionary-encode validated rows into a :class:`ColumnarBag`
     (``rows``/``mults`` are any same-length iterables; the caller has
-    verified ``total <= MAX_TOTAL``)."""
+    verified ``total <= MAX_TOTAL``).  Each column gets its own
+    dictionary, unless ``lookups`` — a live delta's running value ->
+    code maps — are passed to extend."""
     _count("encodings")
     row_list = list(rows)
-    cols = [
-        _interner(attr).encode([row[i] for row in row_list])
-        for i, attr in enumerate(attrs)
-    ]
+    if lookups is None:
+        lookups = [{} for _ in attrs]
+    cols, dicts = _encode_columns(row_list, lookups)
     mult_arr = np.fromiter(mults, dtype=np.int64, count=n)
-    return ColumnarBag(attrs, cols, mult_arr, row_list, total)
+    return ColumnarBag(attrs, cols, dicts, mult_arr, row_list, total)
 
 
 # -- kernels ------------------------------------------------------------
@@ -575,13 +514,8 @@ def try_marginal(index, target_attrs: tuple) -> dict[tuple, int] | None:
     return encoded.marginal_table(target_attrs)
 
 
-def _common_attrs(left: "Bag", right: "Bag") -> tuple:
-    return (left._schema & right._schema).attrs
-
-
-def try_consistent(left: "Bag", right: "Bag") -> bool | None:
-    """Lemma 2(2) on the cached groupings: equal distinct common keys
-    with equal per-key totals.  ``None`` means fall back."""
+def _encodings(left: "Bag", right: "Bag"):
+    """Both sides' encodings, or ``None`` when either is ineligible."""
     from .index import BagIndex
 
     el = of_index(BagIndex.of(left))
@@ -590,10 +524,22 @@ def try_consistent(left: "Bag", right: "Bag") -> bool | None:
     er = of_index(BagIndex.of(right))
     if er is None:
         return None
-    _count("columnar_consistency")
-    common = _common_attrs(left, right)
+    return el, er
+
+
+def _groupings(el: ColumnarBag, er: ColumnarBag, common: tuple):
+    """Both sides grouped on ``common`` in the left's code space (the
+    left's grouping is its cached one; the right's is built for this
+    call from its aligned columns)."""
     gl = el.grouping(common)
-    gr = er.grouping(common)
+    if er is el:
+        return gl, gl
+    return gl, er.group_by(_aligned(el, er, common))
+
+
+def _same_marginals(el, er, gl: _Grouping, gr: _Grouping) -> bool:
+    """Lemma 2(2) on two aligned groupings: equal distinct common keys
+    with equal per-key totals."""
     if gl.keys is None:  # empty common schema: totals decide
         return el.total == er.total
     return (
@@ -601,6 +547,17 @@ def try_consistent(left: "Bag", right: "Bag") -> bool | None:
         and bool(np.array_equal(gl.keys, gr.keys))
         and bool(np.array_equal(gl.sums, gr.sums))
     )
+
+
+def try_consistent(left: "Bag", right: "Bag") -> bool | None:
+    """Lemma 2(2) on aligned groupings.  ``None`` means fall back."""
+    pair = _encodings(left, right)
+    if pair is None:
+        return None
+    _count("columnar_consistency")
+    el, er = pair
+    gl, gr = _groupings(el, er, (left._schema & right._schema).attrs)
+    return _same_marginals(el, er, gl, gr)
 
 
 def try_witness(left: "Bag", right: "Bag", plan: "JoinPlan"):
@@ -618,25 +575,22 @@ def try_witness(left: "Bag", right: "Bag", plan: "JoinPlan"):
     appear in both cumsums and no segment ever crosses a group.  Cells
     are distinct pairs, distinct pairs emit distinct union rows, and
     the cell count is at most the two support sizes combined — the
-    Theorem 5 bound, by construction.
+    Theorem 5 bound, by construction.  The consistency test reuses the
+    same aligned groupings.
     """
-    consistent = try_consistent(left, right)
-    if consistent is None:
+    pair = _encodings(left, right)
+    if pair is None:
         return None
-    if not consistent:
+    _count("columnar_consistency")
+    el, er = pair
+    gl, gr = _groupings(el, er, plan.common.attrs)
+    if not _same_marginals(el, er, gl, gr):
         from ..errors import InconsistentError
 
         raise InconsistentError(
             "bags are not consistent (no saturated flow in N(R, S))"
         )
     _count("columnar_witnesses")
-    from .index import BagIndex
-
-    el = of_index(BagIndex.of(left))
-    er = of_index(BagIndex.of(right))
-    common = plan.common.attrs
-    gl = el.grouping(common)
-    gr = er.grouping(common)
     if not len(el.rows) and not len(er.rows):
         return {}
     left_cum = np.cumsum(el.mults[gl.order])
@@ -663,22 +617,16 @@ def try_join(left: "Bag", right: "Bag", plan: "JoinPlan"):
     with arange/repeat arithmetic — multiplicity products come from two
     fancy-indexed gathers and one elementwise multiply.
     """
-    from .index import BagIndex
-
-    el = of_index(BagIndex.of(left))
-    if el is None:
+    pair = _encodings(left, right)
+    if pair is None:
         return None
-    er = of_index(BagIndex.of(right))
-    if er is None:
-        return None
+    el, er = pair
     if el.total * er.total >= (1 << 63):
         # a single output multiplicity is bounded by (and can reach)
         # the product of two row mults; stay exact via the row path.
         return None
     _count("columnar_joins")
-    common = plan.common.attrs
-    gl = el.grouping(common)
-    gr = er.grouping(common)
+    gl, gr = _groupings(el, er, plan.common.attrs)
     n_l, n_r = len(el.rows), len(er.rows)
     if gl.keys is None:  # disjoint schemas: one all-pairs block
         match_l = np.zeros(1, dtype=np.int64)
@@ -720,37 +668,23 @@ def try_join(left: "Bag", right: "Bag", plan: "JoinPlan"):
 # -- relations (set semantics) -----------------------------------------
 
 
-class ColumnarRelation:
-    """Code columns + cached sorted key arrays for one immutable
-    :class:`Relation` — just enough structure for membership masks."""
+class ColumnarRelation(_Encoded):
+    """The encoding of one immutable :class:`Relation` plus cached
+    per-row key arrays — just enough structure for membership masks."""
 
-    __slots__ = ("attrs", "cols", "rows", "_keys", "_key_sets")
+    __slots__ = ("_keys",)
 
-    FROZEN_FIELDS = ("cols", "rows")
+    FROZEN_FIELDS = ("cols", "dicts", "rows")
 
-    def __init__(self, attrs, cols, rows) -> None:
-        self.attrs = attrs
-        self.cols = cols
-        self.rows = rows
-        self._keys: dict = {}      # target attrs -> per-row void keys
-        self._key_sets: dict = {}  # target attrs -> sorted unique keys
+    def __init__(self, attrs, cols, dicts, rows) -> None:
+        super().__init__(attrs, cols, dicts, rows)
+        self._keys: dict = {}  # target attrs -> per-row void keys
 
     def keys(self, target_attrs: tuple) -> "np.ndarray":
         cached = self._keys.get(target_attrs)
         if cached is None:
-            pos = tuple(self.attrs.index(a) for a in target_attrs)
-            matrix = np.empty((len(self.rows), len(pos)), dtype=_BIG)
-            for j, p in enumerate(pos):
-                matrix[:, j] = self.cols[p]
-            cached = _void_keys(matrix)
+            cached = _void_keys(self.columns(target_attrs))
             self._keys[target_attrs] = cached
-        return cached
-
-    def key_set(self, target_attrs: tuple) -> "np.ndarray":
-        cached = self._key_sets.get(target_attrs)
-        if cached is None:
-            cached = np.unique(self.keys(target_attrs))
-            self._key_sets[target_attrs] = cached
         return cached
 
 
@@ -770,22 +704,15 @@ def of_relation_index(index) -> ColumnarRelation | None:
     _count("encodings")
     row_list = list(rows)
     attrs = relation._schema.attrs
-    cols = [
-        _interner(attr).encode([row[i] for row in row_list])
-        for i, attr in enumerate(attrs)
-    ]
-    encoded = ColumnarRelation(attrs, cols, row_list)
-    if sanitizer_active():
-        for col in encoded.cols:
-            freeze_array(col)
-        encoded.rows = freeze_rows(encoded.rows)
-    return _publish(index, encoded)
+    cols, dicts = _encode_columns(row_list, [{} for _ in attrs])
+    encoded = ColumnarRelation(attrs, cols, dicts, row_list)
+    return _publish(index, _freeze(encoded))
 
 
 def try_semijoin(r: "Relation", s: "Relation") -> list | None:
     """The semijoin filter r |>< s as a membership mask (binary search
-    of the probe side's cached sorted unique keys), or ``None`` when
-    either side is ineligible."""
+    of the probe side's sorted unique keys, aligned to ``r``'s code
+    space), or ``None`` when either side is ineligible."""
     from .index import RelationIndex
 
     er = of_relation_index(RelationIndex.of(r))
@@ -798,10 +725,10 @@ def try_semijoin(r: "Relation", s: "Relation") -> list | None:
     common = (r._schema & s._schema).attrs
     if not common:
         return list(er.rows) if len(es.rows) else []
-    keys = er.keys(common)
-    allowed = es.key_set(common)
-    if not len(allowed):
+    if not len(es.rows):
         return []
+    keys = er.keys(common)
+    allowed = np.unique(_void_keys(_aligned(er, es, common)))
     idx = np.searchsorted(allowed, keys)
     idx_clipped = np.minimum(idx, len(allowed) - 1)
     mask = allowed[idx_clipped] == keys
@@ -837,9 +764,11 @@ class ColumnarDelta:
     write straight into the mult vector (copy-on-write when a snapshot
     shares it), inserts stage in a pending dict — and
     :meth:`snapshot` materializes them in batch: staged rows are
-    encoded and appended via array concatenation, and rows deleted to
-    zero are masked out (with a full compaction once more than a
-    quarter of the array is dead, so storage tracks the live size).
+    encoded against the delta's own dictionaries and appended via array
+    concatenation, and rows deleted to zero are masked out (with a full
+    compaction once more than a quarter of the array is dead, which also
+    re-bases the dictionaries onto the surviving rows, so storage and
+    dictionaries track the live size).
 
     Totals past ``MAX_TOTAL`` disable the delta permanently (the handle
     simply stays on the row kernels); handles smaller than ``MIN_ROWS``
@@ -847,20 +776,23 @@ class ColumnarDelta:
     """
 
     __slots__ = (
-        "attrs", "cols", "mults", "rows", "loc", "dead", "total",
-        "pending", "_shared", "disabled",
+        "attrs", "cols", "dicts", "lookups", "mults", "rows", "loc",
+        "dead", "total", "pending", "_shared", "disabled",
     )
 
     # `rows` may alias a live snapshot's list (the `_shared` branch of
-    # snapshot()): rebind only, never extend/append in place (RL03 —
-    # the PR 6 aliasing bug).  `mults` is *copy-on-write* instead
-    # (update() clones before writing while shared), so it is
+    # snapshot()) and every snapshot aliases `dicts`: rebind only, never
+    # extend/append in place (RL03 — the snapshot-aliasing bug class).
+    # `lookups` never leave the delta.  `mults` is *copy-on-write*
+    # instead (update() clones before writing while shared), so it is
     # deliberately not declared frozen.
-    FROZEN_FIELDS = ("rows",)
+    FROZEN_FIELDS = ("rows", "dicts")
 
     def __init__(self, attrs, mults: dict) -> None:
         self.attrs = attrs
         self.cols: list = []
+        self.dicts: list = []
+        self.lookups: list = [{} for _ in attrs]
         self.mults = None
         self.rows: list = []
         self.loc: dict = {}
@@ -878,6 +810,8 @@ class ColumnarDelta:
     def _disable(self) -> None:
         self.disabled = True
         self.cols = []
+        self.dicts = []
+        self.lookups = []
         self.mults = None
         self.rows = []
         self.loc = {}
@@ -919,7 +853,7 @@ class ColumnarDelta:
         self.pending = {}
         n = len(fresh)
         encoded = encode_rows(
-            self.attrs, fresh.keys(), fresh.values(), n, 0
+            self.attrs, fresh.keys(), fresh.values(), n, 0, self.lookups
         )
         base = len(self.rows)
         if base:
@@ -933,13 +867,24 @@ class ColumnarDelta:
             self.mults = encoded.mults
         self._shared = False
         # rebind, never extend in place: a live snapshot may alias rows
+        # and dicts (encode_rows hands back fresh dictionary lists)
+        self.dicts = encoded.dicts
         self.rows = self.rows + encoded.rows
         for offset, row in enumerate(encoded.rows):
             self.loc[row] = base + offset
 
     def _compact(self) -> None:
         keep = self.mults > 0
-        self.cols = [col[keep] for col in self.cols]
+        cols, dicts = [], []
+        for col, values in zip(self.cols, self.dicts):
+            used, codes = np.unique(col[keep], return_inverse=True)
+            cols.append(codes.reshape(-1).astype(np.int64, copy=False))
+            dicts.append([values[code] for code in used.tolist()])
+        self.cols = cols
+        self.dicts = dicts
+        self.lookups = [
+            dict(zip(values, range(len(values)))) for values in dicts
+        ]
         self.mults = self.mults[keep]
         self._shared = False
         kept_rows = [
@@ -960,6 +905,13 @@ class ColumnarDelta:
         self._materialize()
         if self.dead > max(64, len(self.rows) // 4):
             self._compact()
+        if sanitizer_active():
+            # the snapshot aliases our dictionaries (and, below, maybe
+            # our arrays/rows) from here on: freeze them so any in-place
+            # write (ours or the snapshot's) trips instead of corrupting
+            # silently.  update() copies `mults` before writing while
+            # shared, and a .copy() of a frozen array is writable again.
+            self.dicts = freeze_rows([freeze_rows(v) for v in self.dicts])
         if self.dead:
             keep = self.mults > 0
             cols = [col[keep] for col in self.cols]
@@ -971,15 +923,10 @@ class ColumnarDelta:
         else:
             self._shared = True
             if sanitizer_active():
-                # the snapshot aliases our arrays/rows from here on:
-                # freeze them so any in-place write (ours or the
-                # snapshot's) trips instead of corrupting silently.
-                # update() copies `mults` before writing while shared,
-                # and a .copy() of a frozen array is writable again.
                 self.cols = [freeze_array(col) for col in self.cols]
                 self.mults = freeze_array(self.mults)
                 self.rows = freeze_rows(self.rows)
             cols, mults, rows = self.cols, self.mults, self.rows
-        return _freeze_bag(
-            ColumnarBag(self.attrs, cols, mults, rows, self.total)
+        return _freeze(
+            ColumnarBag(self.attrs, cols, self.dicts, mults, rows, self.total)
         )

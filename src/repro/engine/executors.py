@@ -263,9 +263,9 @@ def _build_spill(bags_by_fp: dict):
         estimate = len(bag) * len(bag.schema.attrs) * 8
         if estimate < SHM_MIN_BYTES:
             continue
-        port = wire.portable_bag(bag)
-        if port is not None and port.nbytes >= SHM_MIN_BYTES:
-            entries.append((fp, port))
+        encoded = wire.portable_bag(bag)
+        if encoded is not None:
+            entries.append((fp, encoded))
     if not entries:
         return None, None, pickled
     frame = wire.encode_bag_table(entries)

@@ -2,15 +2,15 @@
 
 The serve protocol's v1 encoding moves *rows*: a batch payload is one
 newline-JSON object whose bags are ``{"schema": ..., "tuples": ...}``
-row lists, and the receiving daemon re-validates, re-interns, and
+row lists, and the receiving daemon re-validates, re-encodes, and
 re-fingerprints every bag from scratch.  This module adds the **v2
 frame**: a length-prefixed binary message that ships each bag as dense
-int64 *code* arrays plus the per-attribute dictionary slices those
-codes reference, so the receiver rebuilds the columnar encoding with a
-vectorized remap instead of re-encoding rows — and adopts it straight
-onto the fingerprint-shared :class:`~repro.engine.index.BagIndex`
-``_columnar`` slot, fingerprint riding along, so the first engine query
-is a pure :class:`VerdictStore` probe.
+int64 *code* arrays plus the per-attribute dictionaries those codes
+index, so the receiver adopts the columnar encoding as shipped instead
+of re-encoding rows — straight onto the fingerprint-shared
+:class:`~repro.engine.index.BagIndex` ``_columnar`` slot, fingerprint
+riding along, so the first engine query is a pure
+:class:`VerdictStore` probe.
 
 Frame layout (all integers little-endian)::
 
@@ -28,7 +28,7 @@ reserved in v2 payloads), and each bag descriptor is either
 * columnar — ``{"schema": [...], "n": rows, "total": mult_total,
   "fp": <fingerprint>, "mults": [off, len], "cols": [{"codes":
   [off, len], "values": [...]}, ...]}`` — where ``codes`` index the
-  column's **local dictionary** ``values``, or
+  column's own dictionary ``values`` (distinct values), or
 * a reference — ``{"ref": <fingerprint>}`` — for a bag this connection
   already shipped in full and had answered.  It decodes to a
   :class:`~repro.engine.session.BagRef`, which can only *read* the
@@ -37,14 +37,13 @@ reserved in v2 payloads), and each bag descriptor is either
   ``want`` instead of computing.  Only daemons that advertise
   ``"bag_refs": true`` in their ping reply ever receive one.
 
-Interner remap rule: sender and receiver interners never agree (they
-are process-local and append-only), so frames never carry raw interner
-codes.  The sender re-bases each column onto a local dictionary
-(``np.unique`` — the distinct values actually used, in code order); the
-receiver interns that small value list into *its* dictionaries and maps
-the code column through the resulting table with one fancy-indexed
-gather.  Response frames carry ``{"v": 2, "response": {...}}`` and no
-blob.
+Dictionary rule: every encoding owns its dictionaries (see
+:mod:`repro.engine.columnar`), so a frame carries the sender's codes and
+dictionaries as they are, and the receiver adopts both after bounds,
+duplicate-value and duplicate-row checks — decode interns nothing
+(equal integers within one frame do share one object, see
+:class:`_IntPool`).
+Response frames carry ``{"v": 2, "response": {...}}`` and no blob.
 
 The same frame bytes double as the **shared-memory spill** payload of
 the process executor (:func:`encode_bag_table` /
@@ -82,7 +81,7 @@ from .index import BagIndex
 from .session import BagRef
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .columnar import PortableEncoding
+    from .columnar import ColumnarBag
 
 __all__ = [
     "MAGIC",
@@ -244,9 +243,20 @@ def _check_prefix(prefix: bytes) -> tuple[int, int]:
     return header_len, blob_len
 
 
+class _IntPool(dict):
+    """One frame's integer literals, each parsed once: equal ints across
+    the frame's dictionaries decode to one shared object (a request's
+    bags mostly draw on one domain, and a witness kept in the store
+    references values of both sides)."""
+
+    def __missing__(self, literal: str) -> int:
+        value = self[literal] = int(literal)
+        return value
+
+
 def _parse_header(header_bytes: bytes) -> dict:
     try:
-        header = json.loads(header_bytes)
+        header = json.loads(header_bytes, parse_int=_IntPool().__getitem__)
     except json.JSONDecodeError as exc:
         raise WireError(f"invalid JSON in frame header: {exc}") from exc
     if not isinstance(header, dict):
@@ -386,48 +396,46 @@ def jsonify_payload(payload: object) -> object:
 # -- bag export ---------------------------------------------------------
 
 
-def _json_safe(port: "PortableEncoding") -> bool:
-    return all(
-        isinstance(value, _JSON_SCALARS)
-        for _, values in port.columns
-        for value in values
-    )
-
-
-def portable_bag(bag: Bag) -> "PortableEncoding | None":
-    """The bag's re-based columnar export when it has (or earns) an
-    encoding and every value is a JSON scalar, else ``None`` — the
-    caller falls back to inline JSON (socket) or pickle (executor)."""
+def portable_bag(bag: Bag) -> "ColumnarBag | None":
+    """The bag's columnar encoding when it has (or earns) one and every
+    dictionary value is a JSON scalar, else ``None`` — the caller falls
+    back to inline JSON (socket) or pickle (executor)."""
     if not columnar.enabled():
         return None
     encoded = columnar.of_index(BagIndex.of(bag))
-    if encoded is None:
+    if encoded is None or not all(
+        isinstance(value, _JSON_SCALARS)
+        for values in encoded.dicts for value in values
+    ):
         return None
-    port = columnar.export_encoding(encoded)
-    return port if _json_safe(port) else None
+    return encoded
+
+
+def _le_bytes(arr) -> bytes:
+    return arr.astype("<i8", copy=False).tobytes()
 
 
 def _columnar_descriptor(
-    fp: int, port: "PortableEncoding", writer: _BlobWriter
+    fp: int, encoded: "ColumnarBag", writer: _BlobWriter
 ) -> dict:
     return {
-        "schema": list(port.attrs),
-        "n": port.n,
-        "total": port.total,
+        "schema": list(encoded.attrs),
+        "n": len(encoded.rows),
+        "total": encoded.total,
         "fp": fp,
-        "mults": writer.add(port.mults),
+        "mults": writer.add(_le_bytes(encoded.mults)),
         "cols": [
-            {"codes": writer.add(codes), "values": values}
-            for codes, values in port.columns
+            {"codes": writer.add(_le_bytes(codes)), "values": values}
+            for codes, values in zip(encoded.cols, encoded.dicts)
         ],
     }
 
 
 def _export_bag(bag: Bag, fp: int, writer: _BlobWriter) -> dict:
-    port = portable_bag(bag)
-    if port is None:
+    encoded = portable_bag(bag)
+    if encoded is None:
         return {"json": repro_io.bag_to_dict(bag), "fp": fp}
-    return _columnar_descriptor(fp, port, writer)
+    return _columnar_descriptor(fp, encoded, writer)
 
 
 def encode_jobs_frame(
@@ -560,9 +568,17 @@ def _bag_from_descriptor(desc: object, blob) -> Bag:
             col.get("values"), list
         ):
             raise WireError(f"bad column descriptor in frame: {col!r}")
-        columns.append(
-            (_blob_slice(blob, col.get("codes"), 8 * n), col["values"])
-        )
+        values = col["values"]
+        try:
+            distinct = len(set(values))
+        except TypeError as exc:
+            raise WireError(
+                f"unhashable value in frame dictionary: {exc}"
+            ) from exc
+        if distinct != len(values):
+            # equal values under two codes would split one group in two
+            raise WireError("repeated value in frame dictionary")
+        columns.append((_blob_slice(blob, col.get("codes"), 8 * n), values))
     try:
         if columnar.enabled():
             rows, mults, encoded = columnar.import_encoding(
@@ -626,12 +642,12 @@ def decode_jobs_frame(header: dict, blob) -> dict:
 # -- the shared-memory spill payload ------------------------------------
 
 
-def encode_bag_table(entries: Iterable[tuple[int, "PortableEncoding"]]) -> bytes:
-    """``(fingerprint, portable encoding)`` pairs as one frame — the
-    process executor's shared-memory spill body (no jobs ride along)."""
+def encode_bag_table(entries: Iterable[tuple[int, "ColumnarBag"]]) -> bytes:
+    """``(fingerprint, encoding)`` pairs as one frame — the process
+    executor's shared-memory spill body (no jobs ride along)."""
     writer = _BlobWriter()
     descriptors = [
-        _columnar_descriptor(fp, port, writer) for fp, port in entries
+        _columnar_descriptor(fp, encoded, writer) for fp, encoded in entries
     ]
     return pack_frame({"v": VERSION, "bags": descriptors}, writer)
 

@@ -26,8 +26,8 @@ end-to-end overhead and gates it (≤ 3% target, reported in
 
 All locks and shared containers here are declared in the
 :mod:`repro.analysis` registry under the terminal ``obs`` tier, so
-recording a metric while holding any engine/store/columnar/interner
-lock is legal under RL05 and the ``REPRO_SANITIZE=1`` proxies.
+recording a metric while holding any engine/store/columnar lock is
+legal under RL05 and the ``REPRO_SANITIZE=1`` proxies.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from repro.analysis.linter import collect_registry, iter_python_files, \
 REPO_ROOT = Path(__file__).resolve().parents[2]
 ENGINE_DIR = REPO_ROOT / "src" / "repro" / "engine"
 COLUMNAR = ENGINE_DIR / "columnar.py"
+TRACE = REPO_ROOT / "src" / "repro" / "obs" / "trace.py"
 
 PREAMBLE = """\
 import threading
@@ -202,16 +203,16 @@ def maintained(handle, row):
 def test_rl05_inversion(tmp_path):
     findings = lint_snippet(tmp_path, """
 _ENG = register_lock("_ENG", threading.Lock(), tier="engine")
-_INT = register_lock("_INT", threading.Lock(), tier="interner")
+_COL = register_lock("_COL", threading.Lock(), tier="columnar")
 
 def inverted():
-    with _INT:
+    with _COL:
         with _ENG:
             pass
 
 def declared_order():
     with _ENG:
-        with _INT:
+        with _COL:
             pass
 """)
     assert rules_of(findings) == ["RL05"]
@@ -225,15 +226,16 @@ def test_registry_collected_from_real_tree():
     registry = collect_registry(
         iter_python_files([REPO_ROOT / "src" / "repro"])
     )
-    assert "_Interner" in registry.classes
     assert "VerdictStore" in registry.classes
     assert "Shard" in registry.classes
     assert registry.classes["Shard"].tier == "store"
     assert "_ENCODE_LOCK" in registry.named_locks
     assert registry.slot_guards["_columnar"] == "_ENCODE_LOCK"
-    assert registry.container_guards["_INTERNERS"] == "_INTERN_LOCK"
+    assert registry.container_guards["_ACTIVE_SEGMENTS"] == "_SHM_LOCK"
     assert "rows" in registry.all_frozen
-    assert registry.frozen_by_class["ColumnarDelta"] == frozenset({"rows"})
+    assert registry.frozen_by_class["ColumnarDelta"] == frozenset(
+        {"rows", "dicts"}
+    )
 
 
 # -- the real tree is finding-free ---------------------------------------
@@ -258,15 +260,15 @@ def test_committed_baseline_is_empty():
 # -- seeded regressions (the acceptance criteria) ------------------------
 
 
-def test_seeded_interner_lock_removal_is_rl01(tmp_path):
-    source = COLUMNAR.read_text(encoding="utf-8")
-    assert "with self.lock:" in source
-    seeded = tmp_path / "columnar_nolock.py"
+def test_seeded_trace_lock_removal_is_rl01(tmp_path):
+    source = TRACE.read_text(encoding="utf-8")
+    assert "with self._lock:" in source
+    seeded = tmp_path / "trace_nolock.py"
     seeded.write_text(
-        source.replace("with self.lock:", "if True:"), encoding="utf-8"
+        source.replace("with self._lock:", "if True:"), encoding="utf-8"
     )
     findings = lint_paths([seeded])
-    assert any(f.rule == "RL01" and "_Interner" in f.detail
+    assert any(f.rule == "RL01" and "Trace" in f.detail
                for f in findings)
 
 

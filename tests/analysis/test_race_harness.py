@@ -12,8 +12,8 @@ Ownership contracts are respected by construction: ``VerdictStore`` /
 ``PersistentVerdictStore`` are shared across threads (that is their
 documented job), while each thread owns its ``Engine`` facade and
 ``LiveEngine`` privately (single-owner by contract) — the shared
-surfaces under those are the interners, the fingerprint registry, and
-the columnar encodings.
+surfaces under those are the fingerprint registry and the columnar
+encodings.
 """
 
 import random
@@ -128,8 +128,8 @@ def test_engines_share_store_verdicts_match_oracle(sanitize):
 
 
 def test_live_engines_under_shared_registries(sanitize):
-    """Private live engines, shared interner/fingerprint/columnar
-    machinery: every thread's stream must match its own serial replay."""
+    """Private live engines, shared fingerprint/columnar machinery:
+    every thread's stream must match its own serial replay."""
     ab, bc = Schema(("A", "B")), Schema(("B", "C"))
 
     def script(tid):

@@ -26,6 +26,7 @@ from repro.core.bags import Bag
 from repro.core.schema import Schema
 from repro.engine import columnar
 from repro.engine.fingerprint import MASK, content_sum, row_term
+from repro.engine.index import BagIndex
 from repro.engine.live import LiveEngine
 from repro.engine.reference import (
     seed_are_consistent,
@@ -124,6 +125,36 @@ class TestForcedSweep:
             assert are_consistent(r, s) == col_verdict
             assert r.bag_join(s) == col_join
 
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_pair_kernels_align_independent_dictionaries(self, forced, extra):
+        """Each side encodes against its own dictionaries: the right
+        side lists the shared values in reverse order (and, with
+        ``extra``, holds one the left lacks, which must take a fresh
+        code), yet verdict, join and witness match the row path."""
+        r = Bag.from_pairs(
+            Schema(["CA", "CB"]),
+            [((i, ("b", i % 5)), 1 + i % 3) for i in range(20)],
+        )
+        right_rows: dict = {}
+        for key, mult in sorted(
+            r.marginal(Schema(["CB"])).items(), reverse=True
+        ):
+            right_rows[(key[0], "c")] = mult
+        if extra:
+            right_rows[(("b", 99), "c")] = 1
+        s = Bag.from_pairs(Schema(["CB", "CC"]), right_rows.items())
+        el = columnar.of_index(BagIndex.of(r))
+        es = columnar.of_index(BagIndex.of(s))
+        assert es.dicts[0][:5] == list(reversed(el.dicts[1]))
+        assert are_consistent(r, s) == (not extra)
+        assert are_consistent(s, r) == (not extra)
+        assert r.bag_join(s) == seed_bag_join(r, s)
+        assert s.bag_join(r) == seed_bag_join(s, r)
+        if not extra:
+            witness = consistency_witness(r, s)
+            with columnar.disabled():
+                assert witness == consistency_witness(r, s)
+
     def test_empty_bags_witness_is_the_empty_union_bag(self, forced):
         ab = Schema(["CA", "CB"])
         bc = Schema(["CB", "CC"])
@@ -190,6 +221,73 @@ class TestLiveStreams:
         assert live.globally_consistent() == seed_are_consistent(
             handles[0].bag(), handles[1].bag()
         )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fresh_value_churn_keeps_dictionaries_bounded(self, forced, seed):
+        """Every insert carries never-seen values and old rows are
+        deleted: compaction must re-base the deltas' dictionaries onto
+        the surviving rows (so they track the live size, not the stream
+        length) while marginals and verdicts still match the row path."""
+        rng = random.Random(4200 + seed)
+        window, steps = 40, 600
+        live = LiveEngine()
+        left = live.add_bag(Bag.empty(Schema(["CA", "CB"])))
+        right = live.add_bag(Bag.empty(Schema(["CB", "CC"])))
+        queue: list = []
+        bumped = None  # a left row whose mult is off by one, if any
+        peak = compactions = 0
+        last_rows = {left: 0, right: 0}
+        for step in range(steps):
+            b = rng.randrange(4) if rng.random() < 0.5 else ("b", step)
+            lrow, rrow = (("a", step), b), (b, ("c", step))
+            mult = rng.randint(1, 3)
+            live.update(left, lrow, mult)
+            live.update(right, rrow, mult)
+            queue.append((lrow, rrow))
+            if len(queue) > window:
+                old_l, old_r = queue.pop(0)
+                live.update(left, old_l, -left.multiplicity(old_l))
+                live.update(right, old_r, -right.multiplicity(old_r))
+                if bumped == old_l:
+                    bumped = None
+            if rng.random() < 0.1:
+                if bumped is None:
+                    bumped = rng.choice(queue)[0]
+                    live.update(left, bumped, 1)
+                else:
+                    live.update(left, bumped, -1)
+                    bumped = None
+            if step % 5:
+                continue
+            lbag, rbag = left.bag(), right.bag()
+            expected = seed_are_consistent(lbag, rbag)
+            assert are_consistent(lbag, rbag) == expected
+            assert live.globally_consistent() == expected
+            for handle, snapshot in ((left, lbag), (right, rbag)):
+                delta = handle._columnar
+                if len(delta.rows) < last_rows[handle]:
+                    compactions += 1
+                last_rows[handle] = len(delta.rows)
+                for j, values in enumerate(delta.dicts):
+                    # exactly the stored rows' distinct values ...
+                    assert len(values) == len({r[j] for r in delta.rows})
+                    if not delta.dead:
+                        # ... which after compaction are the live ones
+                        assert len(values) == len(
+                            {r[j] for r, _ in snapshot.items()}
+                        )
+                    peak = max(peak, len(values))
+                if step % 25 == 0:
+                    for target in (snapshot.schema, Schema(["CB"])):
+                        assert snapshot.marginal(target) == seed_marginal(
+                            snapshot, target
+                        )
+            if expected and step % 25 == 0:
+                assert is_witness([lbag, rbag], consistency_witness(lbag, rbag))
+        assert compactions > 0
+        # 600 fresh values per column went through; the dictionaries
+        # never held more than the window plus the dead-row allowance
+        assert peak <= window + 1 + 65
 
 
 @needs_numpy
@@ -300,35 +398,6 @@ class TestColumnarDelta:
         assert second.marginal_table(("CA",)) == {
             **{(i,): 1 for i in range(8)}, (99,): 1
         }
-
-
-@needs_numpy
-def test_interner_encode_is_thread_safe():
-    # REVIEW regression: concurrent misses on one attribute must agree
-    # on a single code per value (double-checked intern under the lock).
-    import threading
-
-    interner = columnar._Interner()
-    values = [("payload", i) for i in range(3000)]
-    results: dict[int, list[int]] = {}
-    barrier = threading.Barrier(4)
-
-    def work(tid: int) -> None:
-        barrier.wait()
-        results[tid] = interner.encode(values).tolist()
-
-    threads = [
-        threading.Thread(target=work, args=(tid,)) for tid in range(4)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    first = results[0]
-    assert all(codes == first for codes in results.values())
-    assert len(set(first)) == len(values)  # no code collisions
-    decode = interner.decode_array()
-    assert [decode[code] for code in first] == values
 
 
 def test_content_sum_streams_unsized_iterables(forced):

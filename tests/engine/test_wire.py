@@ -1,11 +1,14 @@
 """The v2 wire format: frame codec, serve negotiation, shm spill."""
 
+import gc
 import io
 import json
 import random
 import socket
 import socketserver
+import struct
 import threading
+import tracemalloc
 
 import pytest
 
@@ -101,6 +104,16 @@ class TestFrameCodec:
         )
         assert decoded["pairs"][0][0] is decoded["pairs"][2][1]
 
+    def test_equal_ints_in_one_frame_decode_to_one_object(self):
+        # values past the interpreter's small-int cache, shared by the
+        # two bags' columns: each distinct value is one object, so a
+        # stored witness keeps one copy alive, not one per column
+        r = Bag.from_pairs(AB, [((1000 + i, 5000 + i), 1) for i in range(40)])
+        s = Bag.from_pairs(BC, [((5000 + i, 1000 + i), 1) for i in range(40)])
+        l2, r2 = round_trip({"pairs": [[r, s]]})["pairs"][0]
+        values = [v for bag in (l2, r2) for row, _ in bag.items() for v in row]
+        assert len({id(v) for v in values}) == len(set(values)) == 80
+
     def test_small_bags_ride_inline_json(self):
         r, s = small_pair()
         frame = wire.encode_jobs_frame({"pairs": [[r, s]]})
@@ -145,17 +158,14 @@ class TestFrameCodec:
 
     @pytest.mark.skipif(not columnar.AVAILABLE, reason="numpy required")
     def test_remap_is_independent_of_sender_dictionary_order(self):
-        # simulate a foreign client whose interner disagrees with ours:
-        # permute every column's local dictionary and rewrite the codes
+        # simulate a foreign client whose dictionaries are ordered
+        # differently from ours: reverse every column's dictionary and
+        # rewrite the codes; the receiver adopts the permuted dictionary
         r, _ = wide_pair()
-        port = columnar.export_encoding(
-            columnar.of_index(BagIndex.of(r))
-        )
-        np = pytest.importorskip("numpy")
+        encoded = columnar.of_index(BagIndex.of(r))
         writer = wire._BlobWriter()
         cols = []
-        for codes_bytes, values in port.columns:
-            codes = np.frombuffer(codes_bytes, dtype="<i8")
+        for codes, values in zip(encoded.cols, encoded.dicts):
             k = len(values)
             cols.append({
                 "codes": writer.add(
@@ -164,11 +174,11 @@ class TestFrameCodec:
                 "values": list(reversed(values)),
             })
         desc = {
-            "schema": list(port.attrs),
-            "n": port.n,
-            "total": port.total,
+            "schema": list(encoded.attrs),
+            "n": len(encoded.rows),
+            "total": encoded.total,
             "fp": fingerprint.of_bag(r),
-            "mults": writer.add(port.mults),
+            "mults": writer.add(encoded.mults.astype("<i8").tobytes()),
             "cols": cols,
         }
         frame = wire.pack_frame(
@@ -178,6 +188,21 @@ class TestFrameCodec:
         )
         decoded = wire.decode_jobs_frame(*wire.read_frame(io.BytesIO(frame)))
         assert decoded["pairs"][0][0] == r
+        # (the decoded bag shares r's index, so adopt directly to look
+        # at the encoding: the permuted dictionary is kept as shipped)
+        blob = memoryview(writer.getvalue())
+        _, _, adopted = columnar.import_encoding(
+            encoded.attrs, len(encoded.rows),
+            wire._blob_slice(blob, desc["mults"], 8 * len(encoded.rows)),
+            [
+                (wire._blob_slice(blob, col["codes"], 8 * len(encoded.rows)),
+                 col["values"])
+                for col in cols
+            ],
+        )
+        assert adopted.dicts[0] == list(reversed(encoded.dicts[0]))
+        target = (encoded.attrs[0],)
+        assert adopted.marginal_table(target) == encoded.marginal_table(target)
 
     def test_truncated_frame_raises(self):
         r, s = small_pair()
@@ -220,6 +245,19 @@ class TestFrameCodec:
             wire.decode_jobs_frame(header, blob)
         header, blob = tampered(lambda d: d.update(mults=[1 << 40, 8]))
         with pytest.raises(wire.WireError, match="blob reference"):
+            wire.decode_jobs_frame(header, blob)
+
+        def repeat_value(desc):
+            values = desc["cols"][0]["values"]
+            values[1] = values[0]
+
+        header, blob = tampered(repeat_value)
+        with pytest.raises(wire.WireError, match="repeated value"):
+            wire.decode_jobs_frame(header, blob)
+        header, blob = tampered(
+            lambda d: d["cols"][0]["values"].__setitem__(0, [1, 2])
+        )
+        with pytest.raises(wire.WireError, match="unhashable"):
             wire.decode_jobs_frame(header, blob)
 
     def test_bad_bag_reference_rejected(self):
@@ -731,3 +769,66 @@ class TestRefsFailClosed:
             [(ref_r, ref_s)], backend="process", parallelism=2
         ) == [True]
         assert len(engine.store) == entries
+
+
+def foreign_frame(pair) -> bytes:
+    """A jobs frame for one pair as another process's sender writes it:
+    each column coded against a dictionary local to this frame, built
+    without touching this process's columnar encoders."""
+    writer = wire._BlobWriter()
+    descriptors = []
+    for bag in pair:
+        items = list(bag.items())
+        cols = []
+        for j in range(len(bag.schema.attrs)):
+            lookup: dict = {}
+            codes = [lookup.setdefault(row[j], len(lookup)) for row, _ in items]
+            cols.append({
+                "codes": writer.add(struct.pack(f"<{len(codes)}q", *codes)),
+                "values": list(lookup),
+            })
+        mults = [mult for _, mult in items]
+        descriptors.append({
+            "schema": list(bag.schema.attrs),
+            "n": len(items),
+            "total": sum(mults),
+            "fp": fingerprint.of_bag(bag),
+            "mults": writer.add(struct.pack(f"<{len(mults)}q", *mults)),
+            "cols": cols,
+        })
+    return wire.pack_frame({
+        "v": wire.VERSION,
+        "payload": {"pairs": [[{"$bag": 0}, {"$bag": 1}]]},
+        "bags": descriptors,
+    }, writer)
+
+
+class TestBoundedMemory:
+    def test_distinct_requests_do_not_accumulate(self):
+        """A daemon's per-request work on an endless stream of distinct
+        wide pairs: decode each frame and check it on a fresh Engine.
+        Once warm, retained memory stays flat — nothing process-wide
+        keeps the values of requests already answered."""
+        rng = random.Random(0xB0B)
+        # built on the row path, so no encoder of this process has
+        # seen a value before the first frame is decoded
+        with columnar.disabled():
+            frames = [
+                foreign_frame(wide_planted_pair(rng, n_rows=512)[1:])
+                for _ in range(200)
+            ]
+        tracemalloc.start()
+        try:
+            for i, frame in enumerate(frames):
+                header, blob = wire.read_frame(io.BytesIO(frame))
+                left, right = wire.decode_jobs_frame(header, blob)["pairs"][0]
+                assert Engine().are_consistent(left, right)
+                del header, blob, left, right
+                if i == 49:
+                    gc.collect()
+                    warm = tracemalloc.get_traced_memory()[0]
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - warm
+        finally:
+            tracemalloc.stop()
+        assert growth < 1 << 20, f"retained {growth / 2**20:.1f} MiB"
